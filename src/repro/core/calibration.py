@@ -47,6 +47,40 @@ SLEW_SCALE = 100 * PS
 LOAD_SCALE = 1 * FF
 
 
+def _eq2(coef, ds, dc):
+    """Eq. (2) deviation term over ``[ΔS, ΔC, ΔS·ΔC]``.
+
+    The one Eq. (2)/(3) formula both STA engines evaluate: plain floats
+    for a scalar query (``coef`` a list), arrays for
+    :class:`ArcTensorBank` (``coef`` unpacks into one array per
+    coefficient). It is a fixed left-to-right sum of separately rounded
+    products, so the two agree bit for bit — a BLAS dot product may fuse
+    multiply-adds and round differently.
+    """
+    c_s, c_c, c_sc = coef
+    return ds * c_s + dc * c_c + ds * dc * c_sc
+
+
+def _eq3(coef, ds, dc):
+    """Eq. (3) deviation term over ``[ΔS, ΔC, ΔS², ΔC², ΔS³, ΔC³, ΔS·ΔC]``.
+
+    Powers are repeated products: ``x**3`` rounds differently in numpy
+    and in Python floats, ``x * x * x`` rounds the same in both.
+    """
+    c_s, c_c, c_s2, c_c2, c_s3, c_c3, c_sc = coef
+    ds2 = ds * ds
+    dc2 = dc * dc
+    return (
+        ds * c_s
+        + dc * c_c
+        + ds2 * c_s2
+        + dc2 * c_c2
+        + ds2 * ds * c_s3
+        + dc2 * dc * c_c3
+        + ds * dc * c_sc
+    )
+
+
 @dataclass
 class ArcCalibration:
     """Fitted Eq. (2)/(3) coefficients of one timing arc.
@@ -89,30 +123,36 @@ class ArcCalibration:
     c_range: Tuple[float, float] = (0.0, float("inf"))
 
     def _deviations(self, slew: float, load: float) -> Tuple[float, float]:
-        slew = float(np.clip(slew, *self.s_range))
-        load = float(np.clip(load, *self.c_range))
+        s_lo, s_hi = self.s_range
+        c_lo, c_hi = self.c_range
+        slew = min(max(float(slew), s_lo), s_hi)
+        load = min(max(float(load), c_lo), c_hi)
         return (slew - self.s_ref) / SLEW_SCALE, (load - self.c_ref) / LOAD_SCALE
+
+    def mu_at(self, slew: float, load: float) -> float:
+        """Calibrated mean delay ``mu'`` alone (Eq. 2)."""
+        ds, dc = self._deviations(slew, load)
+        return self.ref.mu + _eq2(self.mu_coef.tolist(), ds, dc)
 
     def moments_at(self, slew: float, load: float) -> Moments:
         """Calibrated moments ``[mu', sigma', gamma', kappa']`` (Eqs. 2–3)."""
         ds, dc = self._deviations(slew, load)
-        lin = polynomial_features(ds, dc, degree=1)[0]
-        cub = polynomial_features(ds, dc, degree=3)[0]
-        mu = self.ref.mu + float(lin @ self.mu_coef)
-        sigma = self.ref.sigma + float(lin @ self.sigma_coef)
-        skew = self.ref.skew + float(cub @ self.skew_coef)
-        kurt = self.ref.kurt + float(cub @ self.kurt_coef)
+        ref = self.ref
+        mu = ref.mu + _eq2(self.mu_coef.tolist(), ds, dc)
+        sigma = ref.sigma + _eq2(self.sigma_coef.tolist(), ds, dc)
+        skew = ref.skew + _eq3(self.skew_coef.tolist(), ds, dc)
+        kurt = ref.kurt + _eq3(self.kurt_coef.tolist(), ds, dc)
         # Physicality guards: sigma must stay positive and kurtosis
         # above the Pearson bound kurt >= 1 + skew^2.
-        sigma = max(sigma, 1e-3 * self.ref.sigma)
+        sigma = max(sigma, 1e-3 * ref.sigma)
         kurt = max(kurt, 1.0 + skew * skew + 1e-6)  # repro-lint: disable=UNIT001 (moment slack, unitless)
-        return Moments(mu=mu, sigma=sigma, skew=skew, kurt=kurt, n=self.ref.n)
+        return Moments(mu=mu, sigma=sigma, skew=skew, kurt=kurt, n=ref.n)
 
     def out_slew_at(self, slew: float, load: float) -> float:
         """Calibrated mean output slew (for slew propagation)."""
         ds, dc = self._deviations(slew, load)
-        cub = polynomial_features(ds, dc, degree=3)[0]
-        return max(float(self.slew_ref + cub @ self.slew_coef), 0.1 * PS)
+        raw = self.slew_ref + _eq3(self.slew_coef.tolist(), ds, dc)
+        return max(float(raw), 0.1 * PS)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -370,6 +410,11 @@ class ArcTensorBank:
         )
 
     # -- vectorized evaluation -----------------------------------------
+    @staticmethod
+    def _columns(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``(K, *rows.shape)``: one gathered array per coefficient."""
+        return table.T[:, rows]
+
     def _deviations(
         self, rows: np.ndarray, slew: np.ndarray, load: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -377,27 +422,10 @@ class ArcTensorBank:
         c = np.clip(load, self.c_lo[rows], self.c_hi[rows])
         return (s - self.s_ref[rows]) / SLEW_SCALE, (c - self.c_ref[rows]) / LOAD_SCALE
 
-    @staticmethod
-    def _contract_linear(coef: np.ndarray, ds: np.ndarray, dc: np.ndarray) -> np.ndarray:
-        # Same left-to-right sum as the scalar `lin @ coef`.
-        return ds * coef[..., 0] + dc * coef[..., 1] + ds * dc * coef[..., 2]
-
-    @staticmethod
-    def _contract_cubic(coef: np.ndarray, ds: np.ndarray, dc: np.ndarray) -> np.ndarray:
-        return (
-            ds * coef[..., 0]
-            + dc * coef[..., 1]
-            + ds**2 * coef[..., 2]
-            + dc**2 * coef[..., 3]
-            + ds**3 * coef[..., 4]
-            + dc**3 * coef[..., 5]
-            + ds * dc * coef[..., 6]
-        )
-
     def mu_at(self, rows: np.ndarray, slew: np.ndarray, load: np.ndarray) -> np.ndarray:
         """Calibrated mean delays for all (arc row, slew, load) queries."""
         ds, dc = self._deviations(rows, slew, load)
-        return self.ref[rows, 0] + self._contract_linear(self.mu_coef[rows], ds, dc)
+        return self.ref[rows, 0] + _eq2(self._columns(self.mu_coef, rows), ds, dc)
 
     def moments_at(
         self, rows: np.ndarray, slew: np.ndarray, load: np.ndarray
@@ -409,10 +437,10 @@ class ArcTensorBank:
         Pearson bound ``1 + skew**2``.
         """
         ds, dc = self._deviations(rows, slew, load)
-        mu = self.ref[rows, 0] + self._contract_linear(self.mu_coef[rows], ds, dc)
-        sigma = self.ref[rows, 1] + self._contract_linear(self.sigma_coef[rows], ds, dc)
-        skew = self.ref[rows, 2] + self._contract_cubic(self.skew_coef[rows], ds, dc)
-        kurt = self.ref[rows, 3] + self._contract_cubic(self.kurt_coef[rows], ds, dc)
+        mu = self.ref[rows, 0] + _eq2(self._columns(self.mu_coef, rows), ds, dc)
+        sigma = self.ref[rows, 1] + _eq2(self._columns(self.sigma_coef, rows), ds, dc)
+        skew = self.ref[rows, 2] + _eq3(self._columns(self.skew_coef, rows), ds, dc)
+        kurt = self.ref[rows, 3] + _eq3(self._columns(self.kurt_coef, rows), ds, dc)
         sigma = np.maximum(sigma, 1e-3 * self.ref[rows, 1])
         kurt = np.maximum(kurt, 1.0 + skew * skew + 1e-6)  # repro-lint: disable=UNIT001 (moment slack, unitless)
         return mu, sigma, skew, kurt
@@ -422,7 +450,7 @@ class ArcTensorBank:
     ) -> np.ndarray:
         """Calibrated mean output slews (floored at 0.1 ps, as the scalar)."""
         ds, dc = self._deviations(rows, slew, load)
-        raw = self.slew_ref[rows] + self._contract_cubic(self.slew_coef[rows], ds, dc)
+        raw = self.slew_ref[rows] + _eq3(self._columns(self.slew_coef, rows), ds, dc)
         return np.maximum(raw, 0.1 * PS)
 
     # ------------------------------------------------------------------

@@ -394,8 +394,7 @@ class StatisticalSTA:
                 in_edge = edge[net_name]
                 out_edge = (not in_edge) if cell.arc(pin).inverting else in_edge
                 arc = self.models.calibrated.get(gate.cell_name, pin, out_edge)
-                moments = arc.moments_at(slew_pin, load)
-                at_out = at_pin + moments.mu
+                at_out = at_pin + arc.mu_at(slew_pin, load)
                 if at_out > best_arrival:
                     best_arrival = at_out
                     best = (pin, slew_pin, arc.out_slew_at(slew_pin, load), out_edge)

@@ -1,9 +1,9 @@
 """Compiled, levelized, vectorized statistical STA (Eq. 10 at scale).
 
 The scalar :class:`~repro.core.sta.StatisticalSTA` walks the circuit
-gate-by-gate in Python: every arc query rebuilds polynomial features,
-every wire query re-derives RC-tree delays, and every scenario (input
-slew, launch edge, sigma levels) re-walks the whole design. This module
+gate-by-gate in Python: every arc query is one scalar Eq. (2)/(3)
+evaluation, and every scenario (input slew, launch edge, sigma levels)
+re-walks the whole design. This module
 splits that work into a **compile** step done once per (circuit,
 calibration) pair and a **query** step that serves whole scenario
 batches with a handful of numpy sweeps per topological level:
@@ -34,8 +34,10 @@ batches with a handful of numpy sweeps per topological level:
   gather → arc-tensor contraction → per-gate argmax → scatter cycle.
   Per-scenario critical paths are then traced back through the recorded
   winning pins and priced stage-by-stage with the same quantile models
-  the scalar engine uses, so results agree to float round-off
-  (well under 1e-12 s; asserted by ``tests/core/test_sta_compiled.py``).
+  the scalar engine uses. Both engines share one Eq. (2)/(3) formula,
+  so arrivals are bit-identical and path quantiles agree to float
+  round-off (well under 1e-12 s; asserted by
+  ``tests/core/test_sta_compiled.py``).
 
 :mod:`repro.perf` counters record the work: ``sta_compiles``,
 ``sta_scenarios``, ``sta_levels``, ``sta_arc_evals`` plus the
@@ -501,11 +503,15 @@ def _circuit_signature(circuit: Circuit) -> dict:
 
 def design_cache_key(circuit: Circuit, models: TimingModels) -> str:
     """Content key of a compile artifact: circuit + every model input."""
-    pin_caps = {}
+    # Each input_cap call builds the cell's transistor netlist, so every
+    # distinct (cell, pin) is resolved once, not once per gate pin.
+    pin_caps: Dict[str, float] = {}
     for gate in circuit.gates.values():
         cell = models.library.get(gate.cell_name)
         for pin in gate.pins:
-            pin_caps[f"{gate.cell_name}/{pin}"] = cell.input_cap(pin, models.tech)
+            name = f"{gate.cell_name}/{pin}"
+            if name not in pin_caps:
+                pin_caps[name] = cell.input_cap(pin, models.tech)
     payload = {
         "circuit": _circuit_signature(circuit),
         "calibration_digest": models.calibrated.content_digest(),
@@ -858,7 +864,7 @@ class CompiledSTA:
         )
         return BatchSTAResult(
             circuit_name=design.circuit_name,
-            arrival={name: float(arrival[i]) for i, name in enumerate(design.net_names)},
+            arrival=dict(zip(design.net_names, arrival.tolist())),
             critical_path=timing,
             runtime_s=0.0,
             scenario=scenario,

@@ -6,10 +6,12 @@ import pytest
 from repro.cells.characterize import REFERENCE_LOAD, REFERENCE_SLEW
 from repro.core.calibration import (
     ArcCalibration,
+    ArcTensorBank,
     CalibratedCellLibrary,
     fit_arc_calibration,
 )
 from repro.errors import CalibrationError
+from repro.moments.stats import Moments
 from repro.units import FF, PS
 
 
@@ -114,3 +116,83 @@ class TestLibraryContainer:
         assert m_a.mu == pytest.approx(m_b.mu)
         assert m_a.kurt == pytest.approx(m_b.kurt)
         assert arc_b.s_range == arc_a.s_range
+
+
+def guarded_arc() -> ArcCalibration:
+    """A synthetic arc whose sigma and kurtosis fall through their guards.
+
+    sigma shrinks by 6 ps per 100 ps of extra input slew, so it drops
+    below the 1e-3 floor well inside the range; kurtosis falls by 2 per
+    100 ps, under the Pearson bound ``1 + skew**2``.
+    """
+    return ArcCalibration(
+        cell_name="SYN",
+        pin="A",
+        output_rising=False,
+        s_ref=10 * PS,
+        c_ref=0.4 * FF,
+        ref=Moments(mu=21.3 * PS, sigma=2.7 * PS, skew=0.41, kurt=3.3, n=500),
+        mu_coef=np.array([7.1e-12, 3.3e-12, 0.37e-12]),
+        sigma_coef=np.array([-6.0e-12, 0.21e-12, 0.013e-12]),
+        skew_coef=np.array([0.31, -0.17, 0.093, 0.051, -0.023, 0.011, 0.071]),
+        kurt_coef=np.array([-2.0, 0.13, 0.07, -0.03, 0.011, 0.004, -0.05]),
+        slew_ref=14.2 * PS,
+        slew_coef=np.array([3.7e-11, 9.1e-12, -1.3e-12, 2.2e-13, 1.7e-13, -3.1e-14, 4.3e-13]),
+        s_range=(5 * PS, 310 * PS),
+        c_range=(0.1 * FF, 9.7 * FF),
+    )
+
+
+class TestScalarMatchesTensorBank:
+    """Scalar Eq. (2)/(3) and the packed tensors are one formula, bit for bit."""
+
+    #: Covers both clamp edges of every arc: below the minimum, inside,
+    #: and past the maximum characterized slew and load.
+    SLEWS = np.concatenate([[0.0, 1 * PS], np.linspace(3.3, 330.7, 23) * PS, [1000 * PS]])
+    LOADS = np.concatenate([[0.0], np.linspace(0.07, 11.3, 17) * FF, [50 * FF]])
+
+    @pytest.fixture(scope="class")
+    def arcs(self, mini_charac):
+        arcs = {("SYN", "A", "fall"): guarded_arc()}
+        for cell in ("INVx1", "INVx4"):
+            arcs[(cell, "A", "fall")] = fit_arc_calibration(mini_charac.get(cell, "A", False))
+        return arcs
+
+    def evaluate(self, arcs):
+        cal = CalibratedCellLibrary(arcs=arcs)
+        keys = [(cell, pin, False) for cell, pin, _ in arcs]
+        bank = ArcTensorBank.pack(cal, keys)
+        ss, cc = np.meshgrid(self.SLEWS, self.LOADS, indexing="ij")
+        for key in keys:
+            arc = cal.get(*key)
+            rows = np.full(ss.shape, bank.index[key])
+            yield arc, ss, cc, bank.moments_at(rows, ss, cc), bank.out_slew_at(
+                rows, ss, cc
+            ), bank.mu_at(rows, ss, cc)
+
+    def test_bit_identical(self, arcs):
+        for arc, ss, cc, (mu, sigma, skew, kurt), out_slew, mu_only in self.evaluate(arcs):
+            for idx in np.ndindex(ss.shape):
+                s, c = float(ss[idx]), float(cc[idx])
+                m = arc.moments_at(s, c)
+                assert (m.mu, m.sigma, m.skew, m.kurt) == (
+                    mu[idx], sigma[idx], skew[idx], kurt[idx]
+                ), (arc.cell_name, s, c)
+                assert arc.mu_at(s, c) == mu_only[idx] == m.mu
+                assert arc.out_slew_at(s, c) == out_slew[idx]
+                assert type(arc.out_slew_at(s, c)) is float
+
+    def test_grid_hits_clamps_and_guards(self, arcs):
+        arc = arcs[("SYN", "A", "fall")]
+        s_lo, s_hi = arc.s_range
+        c_lo, c_hi = arc.c_range
+        assert self.SLEWS.min() < s_lo and self.SLEWS.max() > s_hi
+        assert self.LOADS.min() < c_lo and self.LOADS.max() > c_hi
+        moments = [arc.moments_at(s, c) for s in self.SLEWS for c in self.LOADS]
+        floored = [m for m in moments if m.sigma == 1e-3 * arc.ref.sigma]
+        pearson = [m for m in moments if m.kurt == 1.0 + m.skew * m.skew + 1e-6]
+        assert floored and len(floored) < len(moments)
+        assert pearson and len(pearson) < len(moments)
+        # Clamped queries price exactly like the range edge.
+        assert arc.moments_at(0.0, 0.0) == arc.moments_at(s_lo, c_lo)
+        assert arc.out_slew_at(1.0, 1.0) == arc.out_slew_at(s_hi, c_hi)
