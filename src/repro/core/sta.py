@@ -25,18 +25,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import TimingError
+from repro.errors import InterconnectError, TimingError
 from repro.cells.library import CellLibrary
 from repro.core.calibration import CalibratedCellLibrary
 from repro.core.nsigma_cell import NSigmaCellModel
 from repro.core.nsigma_wire import WireVariabilityModel, cell_variability_ratio
-from repro.interconnect.metrics import elmore_delays
 from repro.moments.stats import SIGMA_LEVELS, Moments
-from repro.netlist.circuit import PRIMARY_OUTPUT, Circuit, GateInst, Net
+from repro.netlist.circuit import PRIMARY_OUTPUT, Circuit
 from repro.units import PS
 from repro.variation.parameters import Technology
 
@@ -77,6 +77,125 @@ class TimingModels:
             ratio = cell_variability_ratio(self.calibrated, cell_name)
             self._ratio_cache[cell_name] = ratio
         return ratio
+
+
+#: Key of one (net, sink) pair: ``(net, gate, pin)``; the primary-output
+#: sink is ``(net, "<PO>", "")``.
+SinkKey = Tuple[str, str, str]
+
+
+@dataclass(frozen=True)
+class FlatParasitics:
+    """Every net's parasitics reduced to the numbers Eqs. (4), (7), (10) use.
+
+    Attributes
+    ----------
+    net_names:
+        Order of the per-net arrays (circuit insertion order).
+    net_load / end_elmore:
+        ``(N,)`` total load a driver sees (wire cap plus receiver pin
+        caps) and the Elmore delay to the net's primary-output tap.
+    sink_keys:
+        ``(S,)`` the (net, sink) pairs: per net, its primary-output
+        entry first, then every gate sink in net order.
+    sink_elmore / sink_xw:
+        ``(S,)`` Elmore delay to each sink's tap and the Eq. (7) wire
+        variability ``X_w`` of its driver/load cell pair.
+    """
+
+    net_names: List[str]
+    net_load: np.ndarray
+    end_elmore: np.ndarray
+    sink_keys: List[SinkKey]
+    sink_elmore: np.ndarray
+    sink_xw: np.ndarray
+
+    def table(self, values: np.ndarray) -> Dict[SinkKey, float]:
+        """``sink_keys`` → ``values`` (one of the ``(S,)`` arrays)."""
+        return dict(zip(self.sink_keys, values.tolist()))
+
+
+def flatten_parasitics(circuit: Circuit, models: TimingModels) -> FlatParasitics:
+    """Read every net's RC tree once, with receiver pin caps at their taps.
+
+    Real extraction annotates pin loads into the parasitics; Elmore on
+    the bare wire would miss the charge the driver pushes into the
+    receiver gates. Each tree is walked in BFS order: node caps (pin
+    caps added in sink order), their sum as the load, a reverse-BFS
+    downstream-cap sum, then a forward Elmore sum. That is the float
+    order of :func:`~repro.interconnect.metrics.elmore_delay` on an
+    annotated copy, so the values are exactly what the copy gives. A
+    sink without a ``sink_leaf`` tap, and the primary output, tap the
+    tree's first leaf. Ideal nets (no tree) have zero wire delay.
+    """
+    gates = circuit.gates
+    wire_xw = lru_cache(maxsize=None)(models.wire.wire_variability)
+    pin_caps: Dict[Tuple[str, str], float] = {}
+    net_load: List[float] = []
+    end_elmore: List[float] = []
+    sink_keys: List[SinkKey] = []
+    sink_elmore: List[float] = []
+    sink_xw: List[float] = []
+    for name, net in circuit.nets.items():
+        driver_ratio = 0.0
+        if not net.is_primary_input:
+            driver_ratio = models.cell_ratio(gates[net.driver[0]].cell_name)
+        sinks = [PRIMARY_OUTPUT]
+        caps: List[float] = []  # pin cap of each gate sink
+        sink_keys.append((name, *PRIMARY_OUTPUT))
+        sink_xw.append(wire_xw(driver_ratio, 0.0))
+        for sink in net.sinks:
+            if sink == PRIMARY_OUTPUT:
+                continue
+            cell_name = gates[sink[0]].cell_name
+            pin = (cell_name, sink[1])
+            cap = pin_caps.get(pin)
+            if cap is None:
+                cell = models.library.get(cell_name)
+                cap = pin_caps[pin] = cell.input_cap(sink[1], models.tech)
+            sinks.append(sink)
+            caps.append(cap)
+            sink_keys.append((name, *sink))
+            sink_xw.append(wire_xw(driver_ratio, models.cell_ratio(cell_name)))
+        tree = net.tree
+        if tree is None:
+            load = 0.0
+            for cap in caps:
+                load += cap
+            net_load.append(load)
+            end_elmore.append(0.0)
+            sink_elmore.extend([0.0] * len(sinks))
+            continue
+        order = list(tree.topological())
+        pos = {node: i for i, node in enumerate(order)}
+        first_leaf = tree.leaves()[0]
+        try:
+            taps = [pos[net.sink_leaf.get(sink, first_leaf)] for sink in sinks]
+        except KeyError as exc:
+            raise InterconnectError(
+                f"net {name!r} taps unknown RC node {exc.args[0]!r}"
+            ) from None
+        rc = [tree.nodes[node] for node in order]
+        down = [node.cap for node in rc]
+        for i, cap in zip(taps[1:], caps):
+            down[i] += cap
+        net_load.append(sum(down))
+        parent = [-1] + [pos[node.parent] for node in rc[1:]]
+        for i in range(len(order) - 1, 0, -1):
+            down[parent[i]] += down[i]
+        elmore = [0.0]
+        for i in range(1, len(order)):
+            elmore.append(elmore[parent[i]] + rc[i].resistance * down[i])
+        end_elmore.append(elmore[taps[0]])
+        sink_elmore.extend([elmore[i] for i in taps])
+    return FlatParasitics(
+        net_names=list(circuit.nets),
+        net_load=np.asarray(net_load, dtype=float),
+        end_elmore=np.asarray(end_elmore, dtype=float),
+        sink_keys=sink_keys,
+        sink_elmore=np.asarray(sink_elmore, dtype=float),
+        sink_xw=np.asarray(sink_xw, dtype=float),
+    )
 
 
 @dataclass
@@ -234,103 +353,23 @@ class StatisticalSTA:
         self.models = models
         self.input_slew = input_slew
         self.launch_rising = launch_rising
-        self._pin_cap: Dict[Tuple[str, str], float] = {}
-        self._ratio_cache: Dict[str, float] = {}
-        self._tree_cache: Dict[str, Optional["object"]] = {}
-        # Per-net derived parasitics, computed once per engine instance:
-        # node → Elmore delay of the annotated tree, and the total load.
-        # Multi-sink nets are queried once per sink per analysis; without
-        # these, every query re-walked the whole RC tree.
-        self._elmore_cache: Dict[str, Dict[str, float]] = {}
-        self._load_cache: Dict[str, float] = {}
+        self._wires: Optional[Tuple[dict, dict, dict]] = None
 
     # ------------------------------------------------------------------
-    # Model lookups
+    # Parasitics
     # ------------------------------------------------------------------
-    def _input_cap(self, cell_name: str, pin: str) -> float:
-        key = (cell_name, pin)
-        if key not in self._pin_cap:
-            cell = self.models.library.get(cell_name)
-            self._pin_cap[key] = cell.input_cap(pin, self.models.tech)
-        return self._pin_cap[key]
-
-    def _cell_ratio(self, cell_name: str) -> float:
-        if cell_name not in self._ratio_cache:
-            self._ratio_cache[cell_name] = self.models.cell_ratio(cell_name)
-        return self._ratio_cache[cell_name]
-
-    def _annotated_tree(self, net: Net):
-        """The net's RC tree with receiver pin caps added at their taps.
-
-        Real extraction annotates pin loads into the parasitics; Elmore
-        on the bare wire would miss the charge the driver pushes into
-        the receiver gates.
-        """
-        if net.name not in self._tree_cache:
-            if net.tree is None:
-                self._tree_cache[net.name] = None
-            else:
-                tree = net.tree.copy()
-                default_leaf = tree.leaves()[0]
-                for sink in net.sinks:
-                    if sink == PRIMARY_OUTPUT:
-                        continue
-                    gate = self.circuit.gates[sink[0]]
-                    leaf = net.sink_leaf.get(sink, default_leaf)
-                    tree.add_cap(leaf, self._input_cap(gate.cell_name, sink[1]))
-                self._tree_cache[net.name] = tree
-        return self._tree_cache[net.name]
-
-    def _net_load(self, net: Net) -> float:
-        """Total load a driver sees: wire cap + receiver pin caps (cached)."""
-        load = self._load_cache.get(net.name)
-        if load is not None:
-            return load
-        tree = self._annotated_tree(net)
-        if tree is not None:
-            load = tree.total_cap()
-        else:
-            load = 0.0
-            for sink in net.sinks:
-                if sink == PRIMARY_OUTPUT:
-                    continue
-                gate = self.circuit.gates[sink[0]]
-                load += self._input_cap(gate.cell_name, sink[1])
-        self._load_cache[net.name] = load
-        return load
-
-    def _net_elmore(self, net: Net) -> Dict[str, float]:
-        """Node → Elmore delay of the net's annotated tree (cached).
-
-        All sink taps of a net share one two-pass tree traversal; the
-        per-sink queries of multi-sink nets become dict lookups.
-        """
-        delays = self._elmore_cache.get(net.name)
-        if delays is None:
-            tree = self._annotated_tree(net)
-            delays = {} if tree is None else elmore_delays(tree)
-            self._elmore_cache[net.name] = delays
-        return delays
-
-    def _wire_delay_to(self, net: Net, sink: Tuple[str, str]) -> float:
-        """Elmore delay from the net root to a sink's tap point."""
-        if net.tree is None:
-            return 0.0
-        leaf = net.sink_leaf.get(sink)
-        if leaf is None:
-            leaf = net.tree.leaves()[0]
-        return float(self._net_elmore(net)[leaf])
-
-    def _wire_xw(self, net: Net, sink: Tuple[str, str]) -> float:
-        driver_ratio = 0.0
-        if not net.is_primary_input:
-            driver_ratio = self._cell_ratio(
-                self.circuit.gates[net.driver[0]].cell_name
+    def _parasitics(
+        self,
+    ) -> Tuple[Dict[str, float], Dict[SinkKey, float], Dict[SinkKey, float]]:
+        """Net load, sink Elmore and sink X_w maps (one flat pass per engine)."""
+        if self._wires is None:
+            flat = flatten_parasitics(self.circuit, self.models)
+            self._wires = (
+                dict(zip(flat.net_names, flat.net_load.tolist())),
+                flat.table(flat.sink_elmore),
+                flat.table(flat.sink_xw),
             )
-        load_ratio = 0.0
-        if sink != PRIMARY_OUTPUT:
-            load_ratio = self._cell_ratio(self.circuit.gates[sink[0]].cell_name)
-        return self.models.wire.wire_variability(driver_ratio, load_ratio)
+        return self._wires
 
     def _wire_quantiles(
         self, elmore: float, xw: float, levels: Iterable[int]
@@ -361,6 +400,7 @@ class StatisticalSTA:
         t0 = time.perf_counter()
         levels = tuple(levels)
         circuit = self.circuit
+        net_load, elmore, _ = self._parasitics()
         # Per-net state at the *driver output* (root of the net's tree):
         # arrival time, slew and edge polarity of the propagated event.
         arrival: Dict[str, float] = {}
@@ -376,19 +416,17 @@ class StatisticalSTA:
             from_pin[net_name] = None
 
         for gate in circuit.topological_gates():
-            out_net = circuit.nets[gate.output_net]
-            load = self._net_load(out_net)
+            load = net_load[gate.output_net]
             cell = self.models.library.get(gate.cell_name)
             best_arrival = -np.inf
             # (pin, slew_at_pin, out_slew, out_edge)
             best: Optional[Tuple[str, float, float, bool]] = None
             for pin, net_name in gate.pins.items():
-                net = circuit.nets[net_name]
                 if net_name not in arrival:
                     raise TimingError(
                         f"net {net_name!r} reached gate {gate.name!r} unscheduled"
                     )
-                elm = self._wire_delay_to(net, (gate.name, pin))
+                elm = elmore[(net_name, gate.name, pin)]
                 at_pin = arrival[net_name] + elm
                 slew_pin = self._degrade_slew(slew[net_name], elm)
                 in_edge = edge[net_name]
@@ -420,19 +458,17 @@ class StatisticalSTA:
     def _worst_endpoint(
         self, arrival: Dict[str, float]
     ) -> Tuple[str, Tuple[str, str], float]:
+        elmore = self._parasitics()[1]
         worst = -np.inf
         end_net = ""
         end_sink = PRIMARY_OUTPUT
-        for net_name, net in self.circuit.nets.items():
+        for net_name in self.circuit.nets:
             if net_name not in arrival:
                 continue
-            sinks = [s for s in net.sinks if s == PRIMARY_OUTPUT] or [PRIMARY_OUTPUT]
-            for sink in sinks:
-                at = arrival[net_name] + self._wire_delay_to(net, sink)
-                if at > worst:
-                    worst = at
-                    end_net = net_name
-                    end_sink = sink
+            at = arrival[net_name] + elmore[(net_name, *PRIMARY_OUTPUT)]
+            if at > worst:
+                worst = at
+                end_net = net_name
         if not end_net:
             raise TimingError("circuit has no timed endpoints")
         return end_net, end_sink, worst
@@ -464,6 +500,7 @@ class StatisticalSTA:
     ) -> PathTiming:
         stages: List[PathStage] = []
         circuit = self.circuit
+        net_load, elmore, wire_xw = self._parasitics()
         zero_q = {n: 0.0 for n in levels}
 
         # Launch stage: the primary-input net's wire into the first gate.
@@ -473,10 +510,9 @@ class StatisticalSTA:
         else:
             launch_net_name = ""
         if launch_net_name and circuit.nets[launch_net_name].is_primary_input:
-            net = circuit.nets[launch_net_name]
             sink = (first_gate, first_pin)
-            elm = self._wire_delay_to(net, sink)
-            xw = self._wire_xw(net, sink)
+            elm = elmore[(launch_net_name, *sink)]
+            xw = wire_xw[(launch_net_name, *sink)]
             stages.append(
                 PathStage(
                     gate="",
@@ -486,7 +522,7 @@ class StatisticalSTA:
                     net=launch_net_name,
                     sink=sink,
                     input_slew=self.input_slew,
-                    load=self._net_load(net),
+                    load=net_load[launch_net_name],
                     cell_moments=None,
                     cell_quantiles=dict(zero_q),
                     wire_elmore=elm,
@@ -497,21 +533,17 @@ class StatisticalSTA:
 
         for k, (gate_name, pin, out_net_name) in enumerate(chain):
             gate = circuit.gates[gate_name]
-            in_net = circuit.nets[gate.pins[pin]]
-            out_net = circuit.nets[out_net_name]
-            elm_in = self._wire_delay_to(in_net, (gate_name, pin))
-            slew_pin = self._degrade_slew(slew[in_net.name], elm_in)
-            load = self._net_load(out_net)
+            in_net_name = gate.pins[pin]
+            elm_in = elmore[(in_net_name, gate_name, pin)]
+            slew_pin = self._degrade_slew(slew[in_net_name], elm_in)
+            load = net_load[out_net_name]
             out_edge = edge[out_net_name]
             arc = self.models.calibrated.get(gate.cell_name, pin, out_edge)
             moments = arc.moments_at(slew_pin, load)
             cell_q = self.models.nsigma.quantiles(moments, levels)
             sink = chain[k + 1][0:2] if k + 1 < len(chain) else end_sink
-            if k + 1 < len(chain):
-                next_gate, next_pin, _ = chain[k + 1]
-                sink = (next_gate, next_pin)
-            elm_out = self._wire_delay_to(out_net, sink)
-            xw = self._wire_xw(out_net, sink)
+            elm_out = elmore[(out_net_name, *sink)]
+            xw = wire_xw[(out_net_name, *sink)]
             stages.append(
                 PathStage(
                     gate=gate_name,

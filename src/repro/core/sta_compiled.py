@@ -18,15 +18,16 @@ batches with a handful of numpy sweeps per topological level:
     :class:`~repro.core.calibration.ArcTensorBank`, so ``moments_at`` /
     ``out_slew_at`` become gathered multiply-adds over all gates of a
     level at once;
-  - precompute per-net parasitics exactly once: annotated-tree loads,
-    per-sink Elmore delays (flat arrays via
-    :func:`~repro.interconnect.metrics.elmore_delays`), per-(net, sink)
-    wire variabilities ``X_w``, and the per-net endpoint Elmore used
-    for critical-endpoint selection.
+  - take the per-net parasitics from one
+    :func:`~repro.core.sta.flatten_parasitics` pass: pin-loaded net
+    loads, per-sink Elmore delays, per-(net, sink) wire variabilities
+    ``X_w``, and the per-net endpoint Elmore used for
+    critical-endpoint selection.
 
   The artifact is JSON-serializable and cached in a
-  :class:`~repro.cache.JsonCache` keyed on the circuit content and the
-  calibration digest — re-analyzing a design reuses the compile.
+  :class:`~repro.cache.JsonCache` keyed on a hash of that pass, the
+  gate table and the calibration digest — re-analyzing a design reuses
+  the compile.
 
 * **Query** (:meth:`CompiledSTA.analyze_batch`): any number of
   :class:`Scenario` objects evaluate in one vectorized pass — state
@@ -46,6 +47,8 @@ batches with a handful of numpy sweeps per topological level:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -55,22 +58,27 @@ import numpy as np
 from repro.cache import JsonCache, content_key
 from repro.core.calibration import ArcTensorBank
 from repro.core.sta import (
+    FlatParasitics,
     PathStage,
     PathTiming,
+    SinkKey,
     STAResult,
-    StatisticalSTA,
     TimingModels,
     WIRE_SLEW_FACTOR,
+    flatten_parasitics,
 )
 from repro.errors import TimingError
-from repro.interconnect.metrics import elmore_delays
 from repro.moments.stats import SIGMA_LEVELS, Moments
-from repro.netlist.circuit import Circuit, Net, PRIMARY_OUTPUT
+from repro.netlist.circuit import Circuit, PRIMARY_OUTPUT
 from repro.perf import PerfCounters
 from repro.units import PS
 
 #: Cache artifact kind for compiled designs.
 COMPILE_CACHE_KIND = "sta_compiled"
+
+#: Form of :func:`design_cache_key`'s hash input. Bumping it re-keys
+#: every compile artifact and makes every recorded pack key stale.
+DESIGN_KEY_FORM = "flat-parasitics/1"
 
 
 @dataclass(frozen=True)
@@ -184,11 +192,6 @@ class CompiledLevel:
             arc_rise=np.asarray(data["arc_rise"], dtype=np.int64),
             arc_fall=np.asarray(data["arc_fall"], dtype=np.int64),
         )
-
-
-#: Dict key for a (net, sink) pair; the primary-output sentinel
-#: serializes as its marker tuple.
-SinkKey = Tuple[str, str, str]
 
 
 def _sink_key(net_name: str, sink: Tuple[str, str]) -> SinkKey:
@@ -476,48 +479,38 @@ class CompiledDesign:
 # ----------------------------------------------------------------------
 # Compile
 # ----------------------------------------------------------------------
-def _circuit_signature(circuit: Circuit) -> dict:
-    """Canonical content description of a parasitic-annotated circuit."""
-    nets = []
-    for net in circuit.nets.values():
-        nets.append(
-            [
-                net.name,
-                list(net.driver),
-                [list(s) for s in net.sinks],
-                sorted([list(k), v] for k, v in net.sink_leaf.items()),
-                list(net.tree.flatten()) if net.tree is not None else None,
-            ]
-        )
-    return {
-        "name": circuit.name,
-        "inputs": list(circuit.inputs),
-        "outputs": list(circuit.outputs),
-        "gates": [
-            [g.name, g.cell_name, sorted(g.pins.items()), g.output_net]
+def design_cache_key(
+    circuit: Circuit, models: TimingModels, flat: Optional[FlatParasitics] = None
+) -> str:
+    """Content key of a compile artifact: circuit + every model input.
+
+    The key is a sha256 over what the artifact is built from: the
+    arrays of the flat parasitic pass (``flat``, computed when not
+    given), the net order, the primary inputs and outputs, the gate
+    table with each gate's pins in order, the calibration digest and
+    the wire model. That digest is then salted with
+    :data:`DESIGN_KEY_FORM` and the package version by
+    :func:`~repro.cache.content_key`.
+    """
+    if flat is None:
+        flat = flatten_parasitics(circuit, models)
+    header = [
+        circuit.name,
+        flat.net_names,
+        circuit.inputs,
+        circuit.outputs,
+        [
+            [g.name, g.cell_name, list(g.pins.items()), g.output_net]
             for g in circuit.gates.values()
         ],
-        "nets": nets,
-    }
-
-
-def design_cache_key(circuit: Circuit, models: TimingModels) -> str:
-    """Content key of a compile artifact: circuit + every model input."""
-    # Each input_cap call builds the cell's transistor netlist, so every
-    # distinct (cell, pin) is resolved once, not once per gate pin.
-    pin_caps: Dict[str, float] = {}
-    for gate in circuit.gates.values():
-        cell = models.library.get(gate.cell_name)
-        for pin in gate.pins:
-            name = f"{gate.cell_name}/{pin}"
-            if name not in pin_caps:
-                pin_caps[name] = cell.input_cap(pin, models.tech)
-    payload = {
-        "circuit": _circuit_signature(circuit),
-        "calibration_digest": models.calibrated.content_digest(),
-        "wire": models.wire.to_dict(),
-        "pin_caps": sorted(pin_caps.items()),
-    }
+        flat.sink_keys,
+        models.calibrated.content_digest(),
+        models.wire.to_dict(),
+    ]
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+    for values in (flat.net_load, flat.sink_elmore, flat.sink_xw):
+        digest.update(values.astype("<f8", copy=False).tobytes())
+    payload = {"form": DESIGN_KEY_FORM, "sha256": digest.hexdigest()}
     return content_key(payload, length=32)
 
 
@@ -546,9 +539,10 @@ def compile_design(
     )
     perf = perf if perf is not None else PerfCounters()
     digest = models.calibrated.content_digest()
+    flat = flatten_parasitics(circuit, models)
     key = None
     if cache is not None:
-        key = design_cache_key(circuit, models)
+        key = design_cache_key(circuit, models, flat)
         doc = cache.get(COMPILE_CACHE_KIND, key)
         if doc is not None:
             candidate = CompiledDesign.from_dict(doc)
@@ -556,7 +550,7 @@ def compile_design(
             if not lint_compiled_design(candidate, models.calibrated).errors:
                 return candidate
 
-    design = _build_design(circuit, models, digest)
+    design = _build_design(circuit, models, digest, flat)
     perf.incr(sta_compiles=1)
     if cache is not None and key is not None:
         cache.put(
@@ -568,34 +562,12 @@ def compile_design(
 
 
 def _build_design(
-    circuit: Circuit, models: TimingModels, digest: str
+    circuit: Circuit, models: TimingModels, digest: str, flat: FlatParasitics
 ) -> CompiledDesign:
-    # The scalar engine is reused as the single source of parasitic
-    # truth: its annotated trees, cached Elmore maps and load cache are
-    # exactly what gets flattened into the compile artifact.
-    scalar = StatisticalSTA(circuit, models)
-    net_names = list(circuit.nets)
+    net_names = flat.net_names
     net_index = {name: i for i, name in enumerate(net_names)}
-
-    n_nets = len(net_names)
-    net_load = np.zeros(n_nets)
-    end_elmore = np.zeros(n_nets)
-    sink_elmore: Dict[SinkKey, float] = {}
-    sink_xw: Dict[SinkKey, float] = {}
-
-    for name, net in circuit.nets.items():
-        i = net_index[name]
-        net_load[i] = scalar._net_load(net)
-        end_elmore[i] = scalar._wire_delay_to(net, PRIMARY_OUTPUT)
-        sink_elmore[_sink_key(name, PRIMARY_OUTPUT)] = end_elmore[i]
-        sink_xw[_sink_key(name, PRIMARY_OUTPUT)] = scalar._wire_xw(
-            net, PRIMARY_OUTPUT
-        )
-        for sink in net.sinks:
-            if sink == PRIMARY_OUTPUT:
-                continue
-            sink_elmore[_sink_key(name, sink)] = scalar._wire_delay_to(net, sink)
-            sink_xw[_sink_key(name, sink)] = scalar._wire_xw(net, sink)
+    net_load = flat.net_load
+    sink_elmore = flat.table(flat.sink_elmore)
 
     # Arc tensor bank over every (cell, pin, edge) the design can query.
     keys: List[Tuple[str, str, bool]] = []
@@ -671,11 +643,11 @@ def _build_design(
             [net_index[n] for n in circuit.inputs], dtype=np.int64
         ),
         net_load=net_load,
-        end_elmore=end_elmore,
+        end_elmore=flat.end_elmore,
         levels=levels,
         arcs=arcs,
         sink_elmore=sink_elmore,
-        sink_xw=sink_xw,
+        sink_xw=flat.table(flat.sink_xw),
         calibration_digest=digest,
     )
 

@@ -59,26 +59,6 @@ def elmore_delay(tree: RCTree, sink: str = "") -> "float | Dict[str, float]":
     return all_delays[sink]
 
 
-def elmore_delays(tree: RCTree) -> Dict[str, float]:
-    """Elmore delay from the root to *every* node, via flat index arrays.
-
-    Numerically identical to ``elmore_delay(tree)`` (same traversal
-    order, same float accumulation sequence) but runs on the arrays of
-    :meth:`~repro.interconnect.rctree.RCTree.flatten` instead of name
-    dictionaries — the form the compiled STA engine uses to precompute
-    per-sink wire delays once per design instead of once per query.
-    """
-    names, parent, res, cap = tree.flatten()
-    n = len(names)
-    down = list(cap)
-    for i in range(n - 1, 0, -1):
-        down[parent[i]] += down[i]
-    out = [0.0] * n
-    for i in range(1, n):
-        out[i] = out[parent[i]] + res[i] * down[i]
-    return dict(zip(names, out))
-
-
 def impulse_moments(tree: RCTree, sink: str) -> "tuple[float, float]":
     """First and second impulse-response moments ``(m1, m2)`` at ``sink``.
 

@@ -16,8 +16,8 @@ The class supports the three uses the flow needs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import InterconnectError
 from repro.spice.netlist import TransistorNetlist
@@ -131,11 +131,12 @@ class RCTree:
 
     def topological(self) -> Iterator[str]:
         """Nodes in root-to-leaf (BFS) order."""
-        frontier = [self.root]
-        while frontier:
-            node = frontier.pop(0)
-            yield node
-            frontier.extend(self._children[node])
+        order = [self.root]
+        i = 0
+        while i < len(order):
+            order.extend(self._children[order[i]])
+            i += 1
+        return iter(order)
 
     def total_cap(self) -> float:
         """Sum of all grounded capacitance (the driver's "effective" load ceiling)."""
@@ -201,32 +202,16 @@ class RCTree:
                 net.add_capacitor(f"{prefix}_c_{name}", circuit_node, node.cap)
         return mapping
 
-    def flatten(self) -> Tuple[List[str], List[int], List[float], List[float]]:
-        """Flat parallel arrays ``(names, parent_index, resistance, cap)``.
-
-        Nodes appear in topological (root-first BFS) order; the root's
-        parent index is ``-1``. This is the array form consumed by the
-        compiled STA engine and :func:`repro.interconnect.metrics.elmore_delays`
-        — one flattening replaces repeated per-query dict traversals.
-        """
-        order = list(self.topological())
-        pos = {name: i for i, name in enumerate(order)}
-        parent = [
-            pos[self._nodes[n].parent] if self._nodes[n].parent is not None else -1
-            for n in order
-        ]
-        res = [self._nodes[n].resistance for n in order]
-        cap = [self._nodes[n].cap for n in order]
-        return order, parent, res, cap
-
     # ------------------------------------------------------------------
     def copy(self) -> "RCTree":
-        """Deep copy (topology and values)."""
-        out = RCTree(self.root, root_cap=self._nodes[self.root].cap)
-        for name in self.topological():
-            node = self._nodes[name]
-            if node.parent is not None:
-                out.add_segment(name, node.parent, node.resistance, node.cap)
+        """Deep copy (topology, values and node order).
+
+        The source tree was validated node by node as it was built, so
+        its maps are cloned directly instead of re-adding every segment.
+        """
+        out = RCTree(self.root)
+        out._nodes = {name: replace(node) for name, node in self._nodes.items()}
+        out._children = {name: list(ch) for name, ch in self._children.items()}
         return out
 
     def __repr__(self) -> str:

@@ -250,6 +250,87 @@ class TestCompileCache:
         monkeypatch.undo()
         assert design_cache_key(adder_circuit, mini_models) == key
 
+    def test_key_tracks_every_input(self, adder_circuit, mini_models):
+        import copy
+        import dataclasses
+
+        key = design_cache_key(adder_circuit, mini_models)
+        assert design_cache_key(adder_circuit, mini_models) == key
+        assert design_cache_key(copy.deepcopy(adder_circuit), mini_models) == key
+
+        def changed(edit):
+            circuit = copy.deepcopy(adder_circuit)
+            edit(circuit)
+            return design_cache_key(circuit, mini_models) != key
+
+        def tapped_net(circuit):
+            return next(
+                net for net in circuit.nets.values()
+                if net.tree is not None and net.sink_leaf
+            )
+
+        def segment_r(circuit):
+            net = tapped_net(circuit)
+            leaf = next(iter(net.sink_leaf.values()))
+            net.tree.nodes[leaf].resistance *= 1.001
+
+        def node_c(circuit):
+            net = tapped_net(circuit)
+            node = list(net.tree.nodes)[1]
+            net.tree.nodes[node].cap *= 1.001
+
+        def same_pinout_cell(circuit):
+            gate = next(g for g in circuit.gates.values() if g.cell_name == "NAND2x1")
+            gate.cell_name = "NOR2x1"
+
+        def pin_net(circuit):
+            gate = next(iter(circuit.gates.values()))
+            pin, old_net = next(iter(gate.pins.items()))
+            new_net = next(n for n in circuit.inputs if n not in gate.pins.values())
+            circuit.nets[old_net].sinks.remove((gate.name, pin))
+            circuit.nets[old_net].sink_leaf.pop((gate.name, pin))
+            gate.pins[pin] = new_net
+            circuit.nets[new_net].sinks.append((gate.name, pin))
+
+        def net_order(circuit):
+            circuit.nets = dict(reversed(list(circuit.nets.items())))
+
+        for edit in (segment_r, node_c, same_pinout_cell, pin_net, net_order):
+            assert changed(edit), edit.__name__
+        reweighted = dataclasses.replace(
+            mini_models,
+            wire=dataclasses.replace(
+                mini_models.wire, weight_fo=mini_models.wire.weight_fo * 1.001
+            ),
+        )
+        assert design_cache_key(adder_circuit, reweighted) != key
+
+    def test_compile_flattens_once_and_never_copies_trees(
+        self, adder_circuit, mini_models, tmp_path, monkeypatch
+    ):
+        import repro.core.sta_compiled as sta_compiled
+        from repro.interconnect.rctree import RCTree
+
+        calls = []
+        real = sta_compiled.flatten_parasitics
+
+        def counting(circuit, models):
+            calls.append(circuit.name)
+            return real(circuit, models)
+
+        def no_copy(tree):
+            raise AssertionError("RCTree.copy called during compile")
+
+        monkeypatch.setattr(sta_compiled, "flatten_parasitics", counting)
+        monkeypatch.setattr(RCTree, "copy", no_copy)
+        cache = JsonCache(tmp_path)
+        compile_design(adder_circuit, mini_models, cache=cache)
+        assert (len(calls), cache.misses, cache.hits) == (1, 1, 0)
+        compile_design(adder_circuit, mini_models, cache=cache)
+        assert (len(calls), cache.hits) == (2, 1)
+        compile_design(adder_circuit, mini_models)
+        assert len(calls) == 3
+
     def test_json_round_trip_exact(self, adder_circuit, mini_models):
         import json
 
@@ -336,7 +417,7 @@ class TestErrors:
 
 
 class TestScalarCaches:
-    """The satellite caches on the scalar engine keep results unchanged."""
+    """The scalar engine's memoized lookups keep results unchanged."""
 
     def test_cell_ratio_memoized(self, mini_models):
         mini_models._ratio_cache.clear()
@@ -348,11 +429,22 @@ class TestScalarCaches:
         mini_models._ratio_cache.clear()
         assert mini_models.cell_ratio("INVx4") == first
 
-    def test_net_derivations_cached_per_engine(self, adder_circuit, mini_models):
+    def test_flat_pass_built_once_per_engine(
+        self, adder_circuit, mini_models, monkeypatch
+    ):
+        import repro.core.sta as sta_module
+
+        calls = []
+        real = sta_module.flatten_parasitics
+
+        def counting(circuit, models):
+            calls.append(circuit.name)
+            return real(circuit, models)
+
+        monkeypatch.setattr(sta_module, "flatten_parasitics", counting)
         sta = StatisticalSTA(adder_circuit, mini_models)
-        sta.analyze()
-        assert sta._load_cache and sta._elmore_cache
-        n_load, n_elm = len(sta._load_cache), len(sta._elmore_cache)
-        sta.analyze()  # second run adds no entries
-        assert len(sta._load_cache) == n_load
-        assert len(sta._elmore_cache) == n_elm
+        first = sta.analyze()
+        second = sta.analyze()
+        assert calls == [adder_circuit.name]
+        assert first.arrival == second.arrival
+        assert first.critical_path.quantiles == second.critical_path.quantiles

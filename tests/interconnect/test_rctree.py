@@ -80,6 +80,45 @@ class TestTopology:
         c.add_cap("b", 5 * FF)
         assert t.nodes["b"].cap == pytest.approx(2 * FF)
 
+    def test_wide_fanout_tree_order_values_and_copy(self):
+        """A 2,041-node fan-out tree, built depth-first: BFS order is the
+        reference queue walk, and a copy keeps order and values but shares
+        no mutable state with its source."""
+        from collections import deque
+
+        from repro.interconnect.metrics import elmore_delay
+
+        t = RCTree("root", root_cap=0.2 * FF)
+        for h in range(40):
+            t.add_segment(f"h{h}", "root", 10.0 + h, 0.1 * FF * (h + 1))
+            for k in range(50):
+                t.add_segment(f"h{h}_{k}", f"h{h}", 50.0 + k, 0.01 * FF * (k + 1))
+        assert len(t.nodes) == 2041
+
+        reference, queue = [], deque([t.root])
+        while queue:
+            node = queue.popleft()
+            reference.append(node)
+            queue.extend(t.children(node))
+        assert list(t.topological()) == reference
+        assert reference[:41] == ["root"] + [f"h{h}" for h in range(40)]
+
+        c = t.copy()
+        assert list(c.nodes) == list(t.nodes)
+        assert list(c.topological()) == reference
+        assert c.leaves() == t.leaves()
+        for name, node in t.nodes.items():
+            assert c.nodes[name] == node and c.nodes[name] is not node
+            assert c.children(name) == t.children(name)
+        assert c.total_cap() == t.total_cap()
+        assert elmore_delay(c) == elmore_delay(t)
+
+        before = {name: (n.resistance, n.cap) for name, n in t.nodes.items()}
+        c.add_cap("h7_3", 1 * FF)
+        c.add_segment("extra", "h7", 1.0, 1 * FF)
+        assert {name: (n.resistance, n.cap) for name, n in t.nodes.items()} == before
+        assert "extra" not in t.nodes and "extra" not in t.children("h7")
+
 
 class TestEmbed:
     def test_embed_creates_elements(self, tech):
