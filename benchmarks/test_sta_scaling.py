@@ -1,19 +1,21 @@
-"""Compiled vs scalar STA scaling across circuits and scenario counts.
+"""Compiled STA scaling across circuits and scenario counts.
 
-Operational benchmark (not a paper table) of the compiled STA engine
-(:mod:`repro.core.sta_compiled`):
+Operational benchmark (not a paper table) of the STA engine
+(:mod:`repro.core.sta_compiled`) against the scalar oracle of
+``tests/core/sta_oracle.py`` — a dict-based walker that prices one
+scenario per full pass, gate by gate:
 
-* **equivalence** — on every benchmarked circuit the compiled engine
-  must reproduce the scalar critical-path quantiles within 1e-12 s
+* **equivalence** — on every benchmarked circuit the engine must
+  reproduce the oracle's arrivals, critical path and quantiles exactly
   (asserted, not just recorded);
 * **scenario scaling** — batch query cost vs scenario count (1/4/16/64)
-  against per-scenario scalar runs, including the compile-time
+  against per-scenario oracle runs, including the compile-time
   amortization curve (total compiled cost / scenario count);
 * **speedup floor** — on the largest circuit, a >= 16-scenario batch
-  must beat the scalar engine by >= 5x *including* the one-off compile.
+  must beat the scalar oracle by >= 5x *including* the one-off compile.
 
-Scalar runs are measured up to ``REPRO_BENCH_STA_SCALAR_CAP`` scenarios
-(default 16) and linearly extrapolated beyond it — the scalar engine is
+Oracle runs are measured up to ``REPRO_BENCH_STA_SCALAR_CAP`` scenarios
+(default 16) and linearly extrapolated beyond it — the oracle is
 embarrassingly per-scenario, so extrapolation is fair, and every
 extrapolated entry is flagged in the JSON. Circuits are overridable via
 ``REPRO_BENCH_STA_CIRCUITS`` (comma-separated ISCAS85 profile names).
@@ -22,15 +24,18 @@ Results land in ``benchmarks/results/BENCH_sta_scaling.json``.
 """
 
 import os
+import platform
 import time
 
-from conftest import record_result
-from repro.core.sta import StatisticalSTA
+import numpy as np
+
+from conftest import N_CHARAC, record_result
 from repro.core.sta_compiled import CompiledSTA, Scenario
 from repro.moments.stats import SIGMA_LEVELS
 from repro.netlist.benchmarks import attach_parasitics, build_iscas85_like
 from repro.perf import PerfCounters
 from repro.units import PS
+from tests.core.sta_oracle import oracle_analyze
 
 #: Circuits to sweep (ascending size); override for quick CI smoke runs.
 CIRCUITS = [
@@ -42,7 +47,7 @@ CIRCUITS = [
 #: Batch widths of the scenario sweep.
 SCENARIO_COUNTS = (1, 4, 16, 64)
 
-#: Scalar runs are measured up to this many scenarios, then extrapolated.
+#: Oracle runs are measured up to this many scenarios, then extrapolated.
 SCALAR_CAP = int(os.environ.get("REPRO_BENCH_STA_SCALAR_CAP", "16"))
 
 #: Cell mix restricted to the benchmark flow's characterized families.
@@ -67,18 +72,18 @@ def build_circuit(name, tech):
 
 
 def sweep_circuit(circuit, models) -> dict:
-    """Scalar-vs-compiled sweep of one circuit; returns the JSON row."""
+    """Oracle-vs-compiled sweep of one circuit; returns the JSON row."""
     perf = PerfCounters()
     t0 = time.perf_counter()
     engine = CompiledSTA(circuit, models, perf=perf)
     compile_s = time.perf_counter() - t0
 
-    # Equivalence gate: the compiled engine must be a drop-in replacement.
+    # Equivalence gate: the engine must reproduce the oracle exactly.
     probe = make_scenarios(1)[0]
-    scalar_ref = StatisticalSTA(
+    scalar_ref = oracle_analyze(
         circuit, models, input_slew=probe.input_slew,
         launch_rising=probe.launch_rising,
-    ).analyze()
+    )
     compiled_ref = engine.analyze_batch([probe])[0]
     max_dev = max(
         abs(scalar_ref.critical_path.total(n) - compiled_ref.critical_path.total(n))
@@ -88,18 +93,21 @@ def sweep_circuit(circuit, models) -> dict:
         abs(scalar_ref.arrival[net] - compiled_ref.arrival[net])
         for net in scalar_ref.arrival
     )
-    assert max_dev < 1e-12, f"{circuit.name}: quantile deviation {max_dev:.3e} s"
-    assert arrival_dev < 1e-12, f"{circuit.name}: arrival deviation {arrival_dev:.3e} s"
+    assert compiled_ref.arrival == scalar_ref.arrival, f"{circuit.name}: arrivals"
+    assert (
+        compiled_ref.critical_path.stages == scalar_ref.critical_path.stages
+    ), f"{circuit.name}: critical path stages differ"
+    assert max_dev == 0.0, f"{circuit.name}: quantile deviation {max_dev:.3e} s"
 
-    # Scalar cost per scenario (measured on a capped scenario count).
+    # Oracle cost per scenario (measured on a capped scenario count).
     n_scalar = min(max(SCENARIO_COUNTS), SCALAR_CAP)
     scenarios = make_scenarios(n_scalar)
     t0 = time.perf_counter()
     for scenario in scenarios:
-        StatisticalSTA(
+        oracle_analyze(
             circuit, models, input_slew=scenario.input_slew,
             launch_rising=scenario.launch_rising,
-        ).analyze()
+        )
     scalar_wall = time.perf_counter() - t0
     scalar_per_scenario = scalar_wall / n_scalar
 
@@ -140,6 +148,14 @@ class TestStaScaling:
     def test_scaling_and_speedup(self, models, benchmark):
         tech = models.tech
         out = {
+            "scalar_baseline": "tests/core/sta_oracle.py oracle_analyze",
+            "characterization_samples": N_CHARAC,
+            "host": {
+                "cpu_count": os.cpu_count(),
+                "machine": platform.machine(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
             "scenario_counts": list(SCENARIO_COUNTS),
             "scalar_cap": SCALAR_CAP,
             "sigma_levels": list(SIGMA_LEVELS),
@@ -150,7 +166,7 @@ class TestStaScaling:
             row = sweep_circuit(circuit, models)
             out["circuits"][name] = row
             print(f"\n{name} ({row['n_cells']} cells, {row['n_levels']} levels): "
-                  f"compile {row['compile_s']:.3f}s, scalar "
+                  f"compile {row['compile_s']:.3f}s, oracle "
                   f"{row['scalar_per_scenario_s']:.3f}s/scenario")
             for n, batch in row["batches"].items():
                 flag = " (scalar extrapolated)" if batch["scalar_extrapolated"] else ""
@@ -159,7 +175,7 @@ class TestStaScaling:
                       f"speedup x{batch['speedup_incl_compile']:.1f} incl compile, "
                       f"x{batch['speedup_query_only']:.1f} query-only{flag}")
 
-        # Acceptance floor: >= 5x over scalar for >= 16-scenario batches
+        # Acceptance floor: >= 5x over the oracle for >= 16-scenario batches
         # on the largest benchmarked circuit, compile time included.
         largest = max(out["circuits"], key=lambda c: out["circuits"][c]["n_cells"])
         for n in SCENARIO_COUNTS:
@@ -167,7 +183,7 @@ class TestStaScaling:
                 batch = out["circuits"][largest]["batches"][str(n)]
                 assert batch["speedup_incl_compile"] >= 5.0, (
                     f"{largest} batch {n}: only "
-                    f"{batch['speedup_incl_compile']}x over scalar"
+                    f"{batch['speedup_incl_compile']}x over the scalar oracle"
                 )
         out["largest_circuit"] = largest
 

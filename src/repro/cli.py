@@ -443,7 +443,7 @@ def cmd_serve(args) -> int:
 def cmd_pack(args) -> int:
     """Compile circuits into mmap-able ``.rpk`` design packs."""
     from repro.cache import JsonCache
-    from repro.core.sta_compiled import compile_design, design_cache_key
+    from repro.core.sta_compiled import compile_design
     from repro.errors import ReproError
     from repro.pack import pack_compiled_design, pack_library_characterization
 
@@ -463,9 +463,7 @@ def cmd_pack(args) -> int:
                                     perf=flow.perf)
             path = out_dir / f"{circuit.name}.rpk"
             pack_compiled_design(
-                design, path,
-                design_key=design_cache_key(circuit, models),
-                perf=flow.perf,
+                design, path, design_key=design.cache_key, perf=flow.perf
             )
             print(f"Wrote {path} ({path.stat().st_size} bytes, "
                   f"{design.arcs.n_arcs} packed arc rows)")

@@ -52,15 +52,34 @@ QUANTILE_FEATURES: Dict[int, Tuple[str, ...]] = {
 }
 
 
-def _feature_values(m: Moments) -> Dict[str, float]:
-    # Excess kurtosis so that a perfect Gaussian produces zero correction
-    # (Table I must reduce to mu + n*sigma for skew=0, kurt=3).
-    ke = m.kurt - 3.0
+def _features(sigma, skew, kurt):
+    """The Table I feature products, on floats or on arrays alike.
+
+    Excess kurtosis, so that a perfect Gaussian produces zero correction
+    (Table I must reduce to ``mu + n*sigma`` for skew=0, kurt=3).
+    """
+    ke = kurt - 3.0
     return {
-        "sg": m.sigma * m.skew,
-        "sk": m.sigma * ke,
-        "gk": m.sigma * m.skew * ke,
+        "sg": sigma * skew,
+        "sk": sigma * ke,
+        "gk": sigma * skew * ke,
     }
+
+
+def _table1(coef, level, mu, sigma, skew, kurt):
+    """One Table I row: ``mu + n*sigma`` plus the fitted corrections.
+
+    The one formula every quantile query evaluates: plain floats for a
+    single :class:`Moments` (``coef`` a list), arrays for a sweep over
+    path stages. The correction is a fixed left-to-right sum of
+    separately rounded products, so both agree bit for bit — a BLAS dot
+    product may fuse multiply-adds and round differently.
+    """
+    feats = _features(sigma, skew, kurt)
+    correction = 0.0
+    for c, name in zip(coef, QUANTILE_FEATURES[level]):
+        correction = correction + c * feats[name]
+    return mu + level * sigma + correction
 
 
 @dataclass
@@ -107,7 +126,7 @@ class NSigmaCellModel:
         if len(moments) < 8:
             raise CalibrationError("need at least 8 observations to fit Table I")
         model = cls()
-        feats = [_feature_values(m) for m in moments]
+        feats = [_features(m.sigma, m.skew, m.kurt) for m in moments]
         for level in SIGMA_LEVELS:
             names = QUANTILE_FEATURES[level]
             x = np.array([[f[n] for n in names] for f in feats])
@@ -119,19 +138,18 @@ class NSigmaCellModel:
             model.fit_rms[level] = fit.residual_rms
         return model
 
-    def quantile(self, m: Moments, level: int) -> float:
-        """Predict the sigma-level quantile for the given moments (Table I row)."""
+    def _coef(self, level: int) -> np.ndarray:
         if level not in self.coefficients:
             raise CalibrationError(
                 f"no coefficients for sigma level {level}; fitted: "
                 f"{sorted(self.coefficients)}"
             )
-        f = _feature_values(m)
-        names = QUANTILE_FEATURES[level]
-        correction = float(
-            np.dot(self.coefficients[level], [f[n] for n in names])
-        )
-        return m.mu + level * m.sigma + correction
+        return self.coefficients[level]
+
+    def quantile(self, m: Moments, level: int) -> float:
+        """Predict the sigma-level quantile for the given moments (Table I row)."""
+        coef = self._coef(level).tolist()
+        return float(_table1(coef, level, m.mu, m.sigma, m.skew, m.kurt))
 
     def quantiles(self, m: Moments, levels: Iterable[int] = SIGMA_LEVELS) -> Dict[int, float]:
         """All requested sigma-level quantiles at once."""
@@ -148,27 +166,10 @@ class NSigmaCellModel:
         """Vectorized Table I row over arrays of moments.
 
         Element ``i`` equals ``quantile(Moments(mu[i], sigma[i], skew[i],
-        kurt[i]), level)`` — the same feature products and the same
-        left-to-right coefficient sum, evaluated for every observation
-        at once. The compiled STA engine uses this to price all path
-        stages (or all scenarios) in one sweep.
+        kurt[i]), level)`` bit for bit: both evaluate :func:`_table1`.
+        The STA engine uses this to price all path stages in one sweep.
         """
-        if level not in self.coefficients:
-            raise CalibrationError(
-                f"no coefficients for sigma level {level}; fitted: "
-                f"{sorted(self.coefficients)}"
-            )
-        ke = kurt - 3.0
-        feats = {
-            "sg": sigma * skew,
-            "sk": sigma * ke,
-            "gk": sigma * skew * ke,
-        }
-        coef = self.coefficients[level]
-        correction = np.zeros(np.broadcast(mu, sigma).shape)
-        for c, name in zip(coef, QUANTILE_FEATURES[level]):
-            correction = correction + c * feats[name]
-        return mu + level * sigma + correction
+        return _table1(self._coef(level), level, mu, sigma, skew, kurt)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -1,13 +1,22 @@
 """Statistical static timing analysis with the N-sigma models (Eq. 10).
 
-The engine propagates (mean arrival, slew) through the gate-level
-circuit in topological order, identifies the critical path, and then
-evaluates the paper's Eq. (10) along it:
+The STA propagates (mean arrival, slew) through the gate-level circuit
+in topological order, identifies the critical path, and then evaluates
+the paper's Eq. (10) along it:
 
     T_path(n sigma) = sum_cells T_c(n sigma) + sum_wires T_w(n sigma)
 
 with the cell quantiles coming from the calibrated moments + Table I
 model and the wire quantiles from Elmore × (1 + n·X_w).
+
+This module holds what the analysis is built from and what it reports:
+the fitted :class:`TimingModels`, the one flat parasitic pass
+(:func:`flatten_parasitics`) and the path-report types
+(:class:`PathStage`, :class:`PathTiming`, :class:`STAResult`). The one
+propagation engine is :class:`~repro.core.sta_compiled.CompiledSTA`;
+:class:`StatisticalSTA` is its one-scenario entry point. A dict-based
+walker in ``tests/core/sta_oracle.py`` holds the engine to these
+conventions with exact equality.
 
 Modeling conventions (shared with the golden Monte-Carlo for a fair
 comparison):
@@ -17,16 +26,19 @@ comparison):
   simplification);
 * wire slew degradation uses the PERI-style RMS rule
   ``slew_sink = sqrt(slew_root^2 + (k * elmore)^2)``;
+* a gate's output event comes from its latest-arriving input pin, the
+  first such pin on a tie, and the critical endpoint is the first net
+  (in circuit order) with the latest arrival plus Elmore delay to its
+  output tap;
 * arcs use the characterized falling-output data unless rising arcs
   were characterized too (the calibration store falls back per arc).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +51,9 @@ from repro.moments.stats import SIGMA_LEVELS, Moments
 from repro.netlist.circuit import PRIMARY_OUTPUT, Circuit
 from repro.units import PS
 from repro.variation.parameters import Technology
+
+if TYPE_CHECKING:  # repro.core.sta_compiled imports this module
+    from repro.core.sta_compiled import CompiledSTA
 
 #: RMS slew-degradation factor through a wire of the given Elmore delay.
 WIRE_SLEW_FACTOR = 1.4
@@ -329,7 +344,7 @@ class STAResult:
 
 
 class StatisticalSTA:
-    """The paper's timing-analysis engine over a parasitic-annotated circuit.
+    """The paper's path report: one scenario of the compiled STA engine.
 
     Parameters
     ----------
@@ -338,8 +353,8 @@ class StatisticalSTA:
         tolerated and contribute zero wire delay).
     models:
         Fitted :class:`TimingModels`.
-    input_slew:
-        Slew presented at every primary input.
+    input_slew / launch_rising:
+        Slew and edge presented at every primary input.
     """
 
     def __init__(
@@ -353,212 +368,19 @@ class StatisticalSTA:
         self.models = models
         self.input_slew = input_slew
         self.launch_rising = launch_rising
-        self._wires: Optional[Tuple[dict, dict, dict]] = None
+        self._engine: Optional["CompiledSTA"] = None
 
-    # ------------------------------------------------------------------
-    # Parasitics
-    # ------------------------------------------------------------------
-    def _parasitics(
-        self,
-    ) -> Tuple[Dict[str, float], Dict[SinkKey, float], Dict[SinkKey, float]]:
-        """Net load, sink Elmore and sink X_w maps (one flat pass per engine)."""
-        if self._wires is None:
-            flat = flatten_parasitics(self.circuit, self.models)
-            self._wires = (
-                dict(zip(flat.net_names, flat.net_load.tolist())),
-                flat.table(flat.sink_elmore),
-                flat.table(flat.sink_xw),
-            )
-        return self._wires
-
-    def _wire_quantiles(
-        self, elmore: float, xw: float, levels: Iterable[int]
-    ) -> Dict[int, float]:
-        return {n: (1.0 + n * xw) * elmore for n in levels}
-
-    @staticmethod
-    def _degrade_slew(slew: float, elmore: float) -> float:
-        return float(np.hypot(slew, WIRE_SLEW_FACTOR * elmore))
-
-    # ------------------------------------------------------------------
-    # Analysis
-    # ------------------------------------------------------------------
     def analyze(self, levels: Iterable[int] = SIGMA_LEVELS) -> STAResult:
         """Propagate timing and evaluate Eq. (10) on the critical path.
 
-        The circuit (topology + attached RC trees) is first run through
-        the :mod:`repro.lint` domain rules; structural errors — undriven
-        or multi-driven nets, combinational cycles, unknown cells,
-        corrupt parasitics — raise :class:`~repro.errors.TimingError`
-        before any propagation happens.
+        The first call compiles the circuit without a cache. Its lint
+        raises :class:`~repro.errors.TimingError` on structural errors
+        (undriven or multi-driven nets, cycles, unknown cells, corrupt
+        parasitics) before any propagation.
         """
-        from repro.lint import lint_circuit
+        if self._engine is None:
+            # Imported here: repro.core.sta_compiled imports this module.
+            from repro.core.sta_compiled import CompiledSTA
 
-        lint_circuit(self.circuit, library=self.models.library).raise_if_errors(
-            TimingError, context=f"circuit {self.circuit.name}"
-        )
-        t0 = time.perf_counter()
-        levels = tuple(levels)
-        circuit = self.circuit
-        net_load, elmore, _ = self._parasitics()
-        # Per-net state at the *driver output* (root of the net's tree):
-        # arrival time, slew and edge polarity of the propagated event.
-        arrival: Dict[str, float] = {}
-        slew: Dict[str, float] = {}
-        edge: Dict[str, bool] = {}
-        # Which (gate, pin) chain produced each net's arrival.
-        from_pin: Dict[str, Optional[Tuple[str, str]]] = {}
-
-        for net_name in circuit.inputs:
-            arrival[net_name] = 0.0
-            slew[net_name] = self.input_slew
-            edge[net_name] = self.launch_rising
-            from_pin[net_name] = None
-
-        for gate in circuit.topological_gates():
-            load = net_load[gate.output_net]
-            cell = self.models.library.get(gate.cell_name)
-            best_arrival = -np.inf
-            # (pin, slew_at_pin, out_slew, out_edge)
-            best: Optional[Tuple[str, float, float, bool]] = None
-            for pin, net_name in gate.pins.items():
-                if net_name not in arrival:
-                    raise TimingError(
-                        f"net {net_name!r} reached gate {gate.name!r} unscheduled"
-                    )
-                elm = elmore[(net_name, gate.name, pin)]
-                at_pin = arrival[net_name] + elm
-                slew_pin = self._degrade_slew(slew[net_name], elm)
-                in_edge = edge[net_name]
-                out_edge = (not in_edge) if cell.arc(pin).inverting else in_edge
-                arc = self.models.calibrated.get(gate.cell_name, pin, out_edge)
-                at_out = at_pin + arc.mu_at(slew_pin, load)
-                if at_out > best_arrival:
-                    best_arrival = at_out
-                    best = (pin, slew_pin, arc.out_slew_at(slew_pin, load), out_edge)
-            if best is None:
-                raise TimingError(f"gate {gate.name!r} has no inputs")
-            arrival[gate.output_net] = best_arrival
-            slew[gate.output_net] = best[2]
-            edge[gate.output_net] = best[3]
-            from_pin[gate.output_net] = (gate.name, best[0])
-
-        # Critical endpoint: include the wire to the worst sink.
-        end_net, end_sink, worst = self._worst_endpoint(arrival)
-        path = self._trace_path(end_net, from_pin)
-        timing = self._path_timing(path, end_sink, arrival, slew, edge, levels)
-        runtime = time.perf_counter() - t0
-        return STAResult(
-            circuit_name=circuit.name,
-            arrival=arrival,
-            critical_path=timing,
-            runtime_s=runtime,
-        )
-
-    def _worst_endpoint(
-        self, arrival: Dict[str, float]
-    ) -> Tuple[str, Tuple[str, str], float]:
-        elmore = self._parasitics()[1]
-        worst = -np.inf
-        end_net = ""
-        end_sink = PRIMARY_OUTPUT
-        for net_name in self.circuit.nets:
-            if net_name not in arrival:
-                continue
-            at = arrival[net_name] + elmore[(net_name, *PRIMARY_OUTPUT)]
-            if at > worst:
-                worst = at
-                end_net = net_name
-        if not end_net:
-            raise TimingError("circuit has no timed endpoints")
-        return end_net, end_sink, worst
-
-    def _trace_path(
-        self, end_net: str, from_pin: Dict[str, Optional[Tuple[str, str]]]
-    ) -> List[Tuple[str, str, str]]:
-        """Walk back through from_pin: list of (gate, pin, output_net)."""
-        chain: List[Tuple[str, str, str]] = []
-        net = end_net
-        while True:
-            prev = from_pin.get(net)
-            if prev is None:
-                break
-            gate_name, pin = prev
-            chain.append((gate_name, pin, net))
-            net = self.circuit.gates[gate_name].pins[pin]
-        chain.reverse()
-        return chain
-
-    def _path_timing(
-        self,
-        chain: List[Tuple[str, str, str]],
-        end_sink: Tuple[str, str],
-        arrival: Dict[str, float],
-        slew: Dict[str, float],
-        edge: Dict[str, bool],
-        levels: Tuple[int, ...],
-    ) -> PathTiming:
-        stages: List[PathStage] = []
-        circuit = self.circuit
-        net_load, elmore, wire_xw = self._parasitics()
-        zero_q = {n: 0.0 for n in levels}
-
-        # Launch stage: the primary-input net's wire into the first gate.
-        if chain:
-            first_gate, first_pin, _ = chain[0]
-            launch_net_name = circuit.gates[first_gate].pins[first_pin]
-        else:
-            launch_net_name = ""
-        if launch_net_name and circuit.nets[launch_net_name].is_primary_input:
-            sink = (first_gate, first_pin)
-            elm = elmore[(launch_net_name, *sink)]
-            xw = wire_xw[(launch_net_name, *sink)]
-            stages.append(
-                PathStage(
-                    gate="",
-                    cell_name="",
-                    input_pin="",
-                    output_rising=self.launch_rising,
-                    net=launch_net_name,
-                    sink=sink,
-                    input_slew=self.input_slew,
-                    load=net_load[launch_net_name],
-                    cell_moments=None,
-                    cell_quantiles=dict(zero_q),
-                    wire_elmore=elm,
-                    wire_xw=xw,
-                    wire_quantiles=self._wire_quantiles(elm, xw, levels),
-                )
-            )
-
-        for k, (gate_name, pin, out_net_name) in enumerate(chain):
-            gate = circuit.gates[gate_name]
-            in_net_name = gate.pins[pin]
-            elm_in = elmore[(in_net_name, gate_name, pin)]
-            slew_pin = self._degrade_slew(slew[in_net_name], elm_in)
-            load = net_load[out_net_name]
-            out_edge = edge[out_net_name]
-            arc = self.models.calibrated.get(gate.cell_name, pin, out_edge)
-            moments = arc.moments_at(slew_pin, load)
-            cell_q = self.models.nsigma.quantiles(moments, levels)
-            sink = chain[k + 1][0:2] if k + 1 < len(chain) else end_sink
-            elm_out = elmore[(out_net_name, *sink)]
-            xw = wire_xw[(out_net_name, *sink)]
-            stages.append(
-                PathStage(
-                    gate=gate_name,
-                    cell_name=gate.cell_name,
-                    input_pin=pin,
-                    output_rising=out_edge,
-                    net=out_net_name,
-                    sink=sink,
-                    input_slew=slew_pin,
-                    load=load,
-                    cell_moments=moments,
-                    cell_quantiles=cell_q,
-                    wire_elmore=elm_out,
-                    wire_xw=xw,
-                    wire_quantiles=self._wire_quantiles(elm_out, xw, levels),
-                )
-            )
-        return PathTiming(stages=stages, levels=levels)
+            self._engine = CompiledSTA(self.circuit, self.models)
+        return self._engine.analyze(self.input_slew, self.launch_rising, levels)

@@ -1,12 +1,11 @@
 """Compiled, levelized, vectorized statistical STA (Eq. 10 at scale).
 
-The scalar :class:`~repro.core.sta.StatisticalSTA` walks the circuit
-gate-by-gate in Python: every arc query is one scalar Eq. (2)/(3)
-evaluation, and every scenario (input slew, launch edge, sigma levels)
-re-walks the whole design. This module
-splits that work into a **compile** step done once per (circuit,
-calibration) pair and a **query** step that serves whole scenario
-batches with a handful of numpy sweeps per topological level:
+The one propagation engine of the package: the path report
+(:class:`~repro.core.sta.StatisticalSTA`, one scenario), the batch
+sweeps, the CLI and the server all run it. It splits the work into a
+**compile** step done once per (circuit, calibration) pair and a
+**query** step that serves whole scenario batches with a handful of
+numpy sweeps per topological level:
 
 * **Compile** (:func:`compile_design`):
 
@@ -34,11 +33,11 @@ batches with a handful of numpy sweeps per topological level:
   arrays are ``(n_scenarios, n_nets)``, and each level performs one
   gather → arc-tensor contraction → per-gate argmax → scatter cycle.
   Per-scenario critical paths are then traced back through the recorded
-  winning pins and priced stage-by-stage with the same quantile models
-  the scalar engine uses. Both engines share one Eq. (2)/(3) formula,
-  so arrivals are bit-identical and path quantiles agree to float
-  round-off (well under 1e-12 s; asserted by
-  ``tests/core/test_sta_compiled.py``).
+  winning pins and priced stage-by-stage. ``tests/core/sta_oracle.py``
+  re-derives every result with a dict-based scalar walker (scalar
+  Eq. (2)/(3) and Table I, which share their formulas with the array
+  code); ``tests/core/test_sta_compiled.py`` holds the engine to it
+  with exact equality.
 
 :mod:`repro.perf` counters record the work: ``sta_compiles``,
 ``sta_scenarios``, ``sta_levels``, ``sta_arc_evals`` plus the
@@ -106,7 +105,7 @@ class Scenario:
 
 @dataclass
 class BatchSTAResult(STAResult):
-    """Scalar-compatible result plus batch metadata.
+    """A path report (:class:`~repro.core.sta.STAResult`) plus batch metadata.
 
     ``runtime_s`` is the batch query wall time amortized over its
     scenarios. ``correlated_quantiles`` evaluates
@@ -192,10 +191,6 @@ class CompiledLevel:
             arc_rise=np.asarray(data["arc_rise"], dtype=np.int64),
             arc_fall=np.asarray(data["arc_fall"], dtype=np.int64),
         )
-
-
-def _sink_key(net_name: str, sink: Tuple[str, str]) -> SinkKey:
-    return (net_name, sink[0], sink[1])
 
 
 #: Separators of the packed sink-table key blob. Neither occurs in the
@@ -369,8 +364,8 @@ class CompiledDesign:
         Name of the compiled circuit (sanity check at bind time).
     net_names:
         Net order shared by every per-net array (= circuit insertion
-        order, so endpoint argmax matches the scalar engine's
-        iteration order).
+        order, so the endpoint argmax picks the first latest net in
+        circuit order).
     input_nets:
         ``(I,)`` indices of primary-input nets.
     net_load / end_elmore:
@@ -394,6 +389,9 @@ class CompiledDesign:
         :func:`compile_design`); ``None`` for heap-resident designs.
         mmap-backed designs cost only their python side tables in
         private memory — the tensor bytes are shared page cache.
+    cache_key:
+        The :func:`design_cache_key` :func:`compile_design` stored or
+        found this design under; ``None`` when it ran without a cache.
     """
 
     circuit_name: str
@@ -407,6 +405,7 @@ class CompiledDesign:
     sink_xw: Dict[SinkKey, float]
     calibration_digest: str
     pack: Optional[object] = field(default=None, repr=False, compare=False)
+    cache_key: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
     def n_nets(self) -> int:
@@ -522,12 +521,14 @@ def compile_design(
 ) -> CompiledDesign:
     """Levelize + pack a circuit into a :class:`CompiledDesign`.
 
-    The circuit is linted first (same fail-fast contract as the scalar
-    engine). With ``cache`` given, the artifact is stored/loaded keyed
-    on :func:`design_cache_key`; a loaded artifact is run through the
-    ``NSM003`` drift lint (:func:`repro.lint.lint_compiled_design`) and
-    rebuilt — never served — when its packed tensors disagree with the
-    current calibration. A :class:`~repro.cache.PackCache` stores the
+    The circuit is linted first: structural errors raise
+    :class:`~repro.errors.TimingError` before anything is built. With
+    ``cache`` given, the artifact is stored/loaded keyed on
+    :func:`design_cache_key` (kept as ``design.cache_key``); a loaded
+    artifact is run through the ``NSM003`` drift lint
+    (:func:`repro.lint.lint_compiled_design`) and rebuilt — never
+    served — when its packed tensors disagree with the current
+    calibration. A :class:`~repro.cache.PackCache` stores the
     artifact as a mmap-able ``.rpk`` instead of JSON; hits then bind
     the tensors as read-only zero-copy views (``design.pack`` holds the
     mapping).
@@ -547,10 +548,12 @@ def compile_design(
         if doc is not None:
             candidate = CompiledDesign.from_dict(doc)
             candidate.pack = doc.get("__pack__")
+            candidate.cache_key = key
             if not lint_compiled_design(candidate, models.calibrated).errors:
                 return candidate
 
     design = _build_design(circuit, models, digest, flat)
+    design.cache_key = key
     perf.incr(sta_compiles=1)
     if cache is not None and key is not None:
         cache.put(
@@ -613,9 +616,7 @@ def _build_design(
                 for p, (pin, net_name) in enumerate(gate.pins.items()):
                     valid[g, p] = True
                     src_net[g, p] = net_index[net_name]
-                    elm_in[g, p] = sink_elmore[
-                        _sink_key(net_name, (gate.name, pin))
-                    ]
+                    elm_in[g, p] = sink_elmore[(net_name, gate.name, pin)]
                     inverting[g, p] = cell.arc(pin).inverting
                     arc_rise[g, p] = arcs.index[(gate.cell_name, pin, True)]
                     arc_fall[g, p] = arcs.index[(gate.cell_name, pin, False)]
@@ -728,8 +729,7 @@ class CompiledSTA:
         with self.perf.timer("sta_query"):
             t0 = time.perf_counter()
             arrival, slew, edge, winner = self._propagate(scenarios)
-            # Critical endpoint per scenario: first maximum in net order,
-            # matching the scalar engine's strict-> iteration.
+            # Critical endpoint per scenario: first maximum in net order.
             totals = arrival + design.end_elmore[None, :]
             end_idx = np.argmax(totals, axis=1)
             results = []
@@ -826,9 +826,8 @@ class CompiledSTA:
     ) -> BatchSTAResult:
         design = self.design
         levels = tuple(scenario.levels)
-        end_net = design.net_names[end_idx]
-        chain = self._trace_path(end_net, winner)
-        timing = self._path_timing(scenario, chain, end_net, slew, edge, levels)
+        chain = self._trace_path(design.net_names[end_idx], winner)
+        timing = self._path_timing(scenario, chain, slew, edge, levels)
         rho = (
             scenario.stage_correlation
             if scenario.stage_correlation is not None
@@ -849,105 +848,74 @@ class CompiledSTA:
         self,
         scenario: Scenario,
         chain: List[Tuple[str, str, str]],
-        end_net: str,
         slew: np.ndarray,
         edge: np.ndarray,
         levels: Tuple[int, ...],
     ) -> PathTiming:
-        """Price the traced path: scalar-identical stage construction.
+        """Price the traced path stage by stage (Eq. 10).
 
-        Cell moments come from the scalar :class:`ArcCalibration`
-        objects (the path holds tens of stages — vectorizing the full
-        Table I pricing happens across stages below, not per stage).
+        A launch stage (the primary-input wire into the first gate)
+        precedes the cell stages. Cell moments come from the scalar
+        :class:`ArcCalibration` objects (the path holds tens of stages);
+        the Table I pricing is vectorized across stages below.
         """
         design = self.design
-        circuit = self.circuit
-        zero_q = {n: 0.0 for n in levels}
-        end_sink = PRIMARY_OUTPUT
+        gates = self.circuit.gates
+
+        def stage(net: str, sink: Tuple[str, str], **fields) -> PathStage:
+            elm = design.sink_elmore[(net, *sink)]
+            xw = design.sink_xw[(net, *sink)]
+            return PathStage(
+                net=net,
+                sink=sink,
+                wire_elmore=elm,
+                wire_xw=xw,
+                wire_quantiles={n: (1.0 + n * xw) * elm for n in levels},
+                **fields,
+            )
+
+        def load(net: str) -> float:
+            return float(design.net_load[self._net_index[net]])
 
         stages: List[PathStage] = []
-        cell_moments: List[Optional[Moments]] = []
-
         if chain:
             first_gate, first_pin, _ = chain[0]
-            launch_net_name = circuit.gates[first_gate].pins[first_pin]
-        else:
-            launch_net_name = ""
-        if launch_net_name and circuit.nets[launch_net_name].is_primary_input:
-            sink = (first_gate, first_pin)
-            elm = design.sink_elmore[_sink_key(launch_net_name, sink)]
-            xw = design.sink_xw[_sink_key(launch_net_name, sink)]
-            stages.append(
-                PathStage(
-                    gate="",
-                    cell_name="",
-                    input_pin="",
-                    output_rising=scenario.launch_rising,
-                    net=launch_net_name,
-                    sink=sink,
-                    input_slew=scenario.input_slew,
-                    load=float(design.net_load[self._net_index[launch_net_name]]),
-                    cell_moments=None,
-                    cell_quantiles=dict(zero_q),
-                    wire_elmore=elm,
-                    wire_xw=xw,
-                    wire_quantiles={n: (1.0 + n * xw) * elm for n in levels},
-                )
-            )
-            cell_moments.append(None)
-
-        for k, (gate_name, pin, out_net_name) in enumerate(chain):
-            gate = circuit.gates[gate_name]
-            in_net_name = gate.pins[pin]
-            in_idx = self._net_index[in_net_name]
-            out_idx = self._net_index[out_net_name]
-            elm_in = design.sink_elmore[_sink_key(in_net_name, (gate_name, pin))]
-            slew_pin = float(
-                np.hypot(slew[in_idx], WIRE_SLEW_FACTOR * elm_in)
-            )
-            load = float(design.net_load[out_idx])
-            out_edge = bool(edge[out_idx])
+            launch = gates[first_gate].pins[first_pin]
+            stages.append(stage(
+                launch, (first_gate, first_pin), gate="", cell_name="",
+                input_pin="", output_rising=scenario.launch_rising,
+                input_slew=scenario.input_slew, load=load(launch),
+                cell_moments=None, cell_quantiles={n: 0.0 for n in levels},
+            ))
+        moments: List[Moments] = []
+        for k, (gate_name, pin, out_net) in enumerate(chain):
+            gate = gates[gate_name]
+            in_net = gate.pins[pin]
+            slew_pin = float(np.hypot(
+                slew[self._net_index[in_net]],
+                WIRE_SLEW_FACTOR * design.sink_elmore[(in_net, gate_name, pin)],
+            ))
+            out_edge = bool(edge[self._net_index[out_net]])
             arc = self.models.calibrated.get(gate.cell_name, pin, out_edge)
-            moments = arc.moments_at(slew_pin, load)
-            if k + 1 < len(chain):
-                next_gate, next_pin, _ = chain[k + 1]
-                sink = (next_gate, next_pin)
-            else:
-                sink = end_sink
-            elm_out = design.sink_elmore[_sink_key(out_net_name, sink)]
-            xw = design.sink_xw[_sink_key(out_net_name, sink)]
-            stages.append(
-                PathStage(
-                    gate=gate_name,
-                    cell_name=gate.cell_name,
-                    input_pin=pin,
-                    output_rising=out_edge,
-                    net=out_net_name,
-                    sink=sink,
-                    input_slew=slew_pin,
-                    load=load,
-                    cell_moments=moments,
-                    cell_quantiles={},  # filled by the vectorized sweep below
-                    wire_elmore=elm_out,
-                    wire_xw=xw,
-                    wire_quantiles={n: (1.0 + n * xw) * elm_out for n in levels},
-                )
-            )
-            cell_moments.append(moments)
+            moments.append(arc.moments_at(slew_pin, load(out_net)))
+            sink = chain[k + 1][:2] if k + 1 < len(chain) else PRIMARY_OUTPUT
+            stages.append(stage(
+                out_net, sink, gate=gate_name, cell_name=gate.cell_name,
+                input_pin=pin, output_rising=out_edge, input_slew=slew_pin,
+                load=load(out_net), cell_moments=moments[-1],
+                cell_quantiles={},  # filled by the vectorized sweep below
+            ))
 
         # Price all cell stages at once (Table I, vectorized over stages).
-        cell_idx = [i for i, m in enumerate(cell_moments) if m is not None]
-        if cell_idx:
-            mu = np.array([cell_moments[i].mu for i in cell_idx])
-            sg = np.array([cell_moments[i].sigma for i in cell_idx])
-            sk = np.array([cell_moments[i].skew for i in cell_idx])
-            ku = np.array([cell_moments[i].kurt for i in cell_idx])
+        if moments:
+            mu, sg, sk, ku = (
+                np.array(column)
+                for column in zip(*((m.mu, m.sigma, m.skew, m.kurt) for m in moments))
+            )
             per_level = {
-                n: self.models.nsigma.quantile_array(mu, sg, sk, ku, n)
+                n: self.models.nsigma.quantile_array(mu, sg, sk, ku, n).tolist()
                 for n in levels
             }
-            for j, i in enumerate(cell_idx):
-                stages[i].cell_quantiles = {
-                    n: float(per_level[n][j]) for n in levels
-                }
+            for j, cell_stage in enumerate(stages[len(stages) - len(moments):]):
+                cell_stage.cell_quantiles = {n: per_level[n][j] for n in levels}
         return PathTiming(stages=stages, levels=levels)

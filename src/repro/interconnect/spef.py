@@ -45,12 +45,13 @@ def write_spef(
     """Write nets as ``*D_NET`` blocks.
 
     Node naming: the tree's own node names are written verbatim; the
-    root is also declared as the net's driver connection.
+    root is also declared as the net's driver connection. Values are
+    written with nine significant digits so sub-attofarad caps survive.
     """
     path = Path(path)
     lines = [_HEADER.format(design=design)]
     for net_name, tree in nets.items():
-        lines.append(f'*D_NET {net_name} {tree.total_cap() / _C_UNIT:.6f}')
+        lines.append(f'*D_NET {net_name} {tree.total_cap() / _C_UNIT:.9g}')
         lines.append("*CONN")
         lines.append(f"*I {tree.root} O")
         for leaf in tree.leaves():
@@ -60,14 +61,14 @@ def write_spef(
         k = 1
         for name, node in tree.nodes.items():
             if node.cap > 0:
-                lines.append(f"{k} {name} {node.cap / _C_UNIT:.6f}")
+                lines.append(f"{k} {name} {node.cap / _C_UNIT:.9g}")
                 k += 1
         lines.append("*RES")
         k = 1
         for name in tree.topological():
             node = tree.nodes[name]
             if node.parent is not None:
-                lines.append(f"{k} {node.parent} {name} {node.resistance / _R_UNIT:.6f}")
+                lines.append(f"{k} {node.parent} {name} {node.resistance / _R_UNIT:.9g}")
                 k += 1
         lines.append("*END")
         lines.append("")

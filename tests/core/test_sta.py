@@ -10,6 +10,7 @@ from repro.netlist.benchmarks import attach_parasitics
 from repro.netlist.circuit import Circuit
 from repro.netlist.generators import build_adder
 from repro.units import PS
+from tests.core.sta_oracle import degrade_slew
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +95,22 @@ class TestModelInputs:
         assert res.critical_delay > 0
         assert res.critical_path.wire_total == 0.0
 
-    def test_slew_degradation_rule(self):
-        s = StatisticalSTA._degrade_slew(10 * PS, 5 * PS)
-        assert s == pytest.approx(np.hypot(10 * PS, WIRE_SLEW_FACTOR * 5 * PS))
+    def test_slew_degradation_rule(self, sta_result, mini_models):
+        # Each cell sees its driver's output slew degraded through the
+        # wire by the RMS rule of the oracle (sta_oracle.degrade_slew).
+        stages = sta_result.critical_path.stages
+        assert degrade_slew(10 * PS, 5 * PS) == np.hypot(
+            10 * PS, WIRE_SLEW_FACTOR * 5 * PS
+        )
+        for prev, stage in zip(stages, stages[1:]):
+            if prev.cell_name:
+                arc = mini_models.calibrated.get(
+                    prev.cell_name, prev.input_pin, prev.output_rising
+                )
+                driven = arc.out_slew_at(prev.input_slew, prev.load)
+            else:
+                driven = prev.input_slew
+            assert stage.input_slew == degrade_slew(driven, prev.wire_elmore)
 
     def test_subset_levels(self, adder_circuit, mini_models):
         res = StatisticalSTA(adder_circuit, mini_models).analyze(levels=(-3, 0, 3))

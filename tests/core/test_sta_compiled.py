@@ -1,12 +1,14 @@
-"""Golden equivalence of the compiled STA engine against the scalar one.
+"""The STA engine against an exact scalar oracle.
 
-The compiled engine (:mod:`repro.core.sta_compiled`) must be an exact
-drop-in for :class:`~repro.core.sta.StatisticalSTA`: bit-identical
-arrivals, the same critical path, and sigma-level quantiles to well
-under 1e-12 s. These
-tests pin that contract on the deterministic adder fixture, on random
-ISCAS85-like circuits (example-based and hypothesis-driven), on
-ideal-net circuits, and across the compile cache round trip.
+:class:`~repro.core.sta_compiled.CompiledSTA` is the package's one
+propagation engine; :class:`~repro.core.sta.StatisticalSTA` is its
+one-scenario entry point. ``sta_oracle.py`` re-derives every result
+with a dict-based scalar walker, and these tests require equality —
+arrivals, the critical path, every stage's slew, load, moments and
+quantiles, and the Eq. 10 totals — on the deterministic adder fixture
+(with and without parasitics), on random ISCAS85-like circuits
+(example-based and hypothesis-driven) and across the compile cache
+round trip.
 """
 
 import numpy as np
@@ -32,13 +34,7 @@ from repro.netlist.benchmarks import BenchmarkProfile, attach_parasitics, build_
 from repro.netlist.circuit import Circuit
 from repro.netlist.generators import build_adder
 from repro.units import PS
-
-#: Equivalence budget for the path quantiles. Both engines evaluate one
-#: Eq. (2)/(3) formula, so arrivals match exactly; cell quantiles still
-#: differ by float round-off (~1e-26 s) between the scalar and the
-#: vectorized Table I evaluation. Anything near 1e-12 s would mean a
-#: modeling divergence, not noise.
-TOL = 1e-12
+from tests.core.sta_oracle import oracle_analyze
 
 
 def build_mini_circuit(seed: int, n_cells: int = 40, depth: int = 6, tech=None) -> Circuit:
@@ -58,26 +54,19 @@ def build_mini_circuit(seed: int, n_cells: int = 40, depth: int = 6, tech=None) 
     return circuit
 
 
-def assert_equivalent(scalar_result, batch_result, levels=SIGMA_LEVELS):
-    """Scalar and compiled results agree on everything that matters."""
-    assert set(scalar_result.arrival) == set(batch_result.arrival)
-    for net, value in scalar_result.arrival.items():
-        assert batch_result.arrival[net] == value, net
+def assert_equivalent(expected, result):
+    """``result`` equals the oracle's ``expected``, float for float."""
+    assert result.arrival == expected.arrival
 
-    sp, cp = scalar_result.critical_path, batch_result.critical_path
-    assert [(s.gate, s.input_pin, s.net, s.sink) for s in sp.stages] == [
-        (s.gate, s.input_pin, s.net, s.sink) for s in cp.stages
+    ep, rp = expected.critical_path, result.critical_path
+    assert rp.levels == ep.levels
+    assert [(s.gate, s.input_pin, s.net, s.sink) for s in rp.stages] == [
+        (s.gate, s.input_pin, s.net, s.sink) for s in ep.stages
     ]
-    for s_stage, c_stage in zip(sp.stages, cp.stages):
-        assert s_stage.output_rising == c_stage.output_rising
-        assert abs(s_stage.input_slew - c_stage.input_slew) < TOL
-        assert s_stage.load == pytest.approx(c_stage.load, abs=1e-21)
-        assert abs(s_stage.wire_elmore - c_stage.wire_elmore) < TOL
-        for n in levels:
-            assert abs(s_stage.cell_quantiles[n] - c_stage.cell_quantiles[n]) < TOL
-            assert abs(s_stage.wire_quantiles[n] - c_stage.wire_quantiles[n]) < TOL
-    for n in levels:
-        assert abs(sp.total(n) - cp.total(n)) < TOL
+    for r_stage, e_stage in zip(rp.stages, ep.stages):
+        assert r_stage == e_stage
+    for n in ep.levels:
+        assert rp.total(n) == ep.total(n)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +76,8 @@ def compiled_adder(adder_circuit, mini_models):
 
 class TestGoldenEquivalence:
     def test_adder_default_scenario(self, adder_circuit, mini_models, compiled_adder):
-        scalar = StatisticalSTA(adder_circuit, mini_models).analyze()
-        assert_equivalent(scalar, compiled_adder.analyze())
+        expected = oracle_analyze(adder_circuit, mini_models)
+        assert_equivalent(expected, compiled_adder.analyze())
 
     def test_adder_scenario_grid(self, adder_circuit, mini_models, compiled_adder):
         scenarios = [
@@ -99,35 +88,48 @@ class TestGoldenEquivalence:
         results = compiled_adder.analyze_batch(scenarios)
         assert len(results) == len(scenarios)
         for scenario, result in zip(scenarios, results):
-            scalar = StatisticalSTA(
+            expected = oracle_analyze(
                 adder_circuit, mini_models,
                 input_slew=scenario.input_slew,
                 launch_rising=scenario.launch_rising,
-            ).analyze()
-            assert_equivalent(scalar, result)
+            )
+            assert_equivalent(expected, result)
             assert result.scenario == scenario
 
     def test_random_circuits_with_parasitics(self, mini_models, tech):
         for seed in (3, 11, 27):
             circuit = build_mini_circuit(seed, tech=tech)
-            scalar = StatisticalSTA(circuit, mini_models).analyze()
-            compiled = CompiledSTA(circuit, mini_models).analyze()
-            assert_equivalent(scalar, compiled)
+            expected = oracle_analyze(circuit, mini_models)
+            assert_equivalent(expected, CompiledSTA(circuit, mini_models).analyze())
 
     def test_ideal_nets_zero_wire(self, mini_models):
         # No parasitics attached: every wire contributes exactly zero.
         circuit = build_mini_circuit(5, tech=None)
-        scalar = StatisticalSTA(circuit, mini_models).analyze()
+        expected = oracle_analyze(circuit, mini_models)
         compiled = CompiledSTA(circuit, mini_models).analyze()
-        assert_equivalent(scalar, compiled)
+        assert_equivalent(expected, compiled)
         assert compiled.critical_path.wire_total == 0.0
+
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_ideal_adder_ties_go_to_first_pin(self, mini_models, rising):
+        # Without parasitics, a NAND2 fed by two primary inputs sees the
+        # same arrival, slew and (fallback) arc on both pins: an exact
+        # tie, which the first pin wins.
+        circuit = build_adder(3, name="adder3_ideal")
+        expected = oracle_analyze(circuit, mini_models, launch_rising=rising)
+        compiled = CompiledSTA(circuit, mini_models).analyze(launch_rising=rising)
+        assert_equivalent(expected, compiled)
+        first = next(s for s in compiled.critical_path.stages if s.cell_name)
+        gate = circuit.gates[first.gate]
+        assert all(net in circuit.inputs for net in gate.pins.values())
+        assert first.input_pin == next(iter(gate.pins))
 
     def test_sigma_level_subset(self, adder_circuit, mini_models, compiled_adder):
         levels = (-2, 0, 2)
-        scalar = StatisticalSTA(adder_circuit, mini_models).analyze(levels=levels)
+        expected = oracle_analyze(adder_circuit, mini_models, levels=levels)
         compiled = compiled_adder.analyze(levels=levels)
         assert compiled.critical_path.levels == levels
-        assert_equivalent(scalar, compiled, levels=levels)
+        assert_equivalent(expected, compiled)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -143,13 +145,35 @@ class TestGoldenEquivalence:
         depth = min(depth, max(2, n_cells // 2))
         circuit = build_mini_circuit(seed, n_cells=n_cells, depth=depth,
                                      tech=tech if seed % 2 else None)
-        scalar = StatisticalSTA(
+        expected = oracle_analyze(
             circuit, mini_models, input_slew=slew_ps * PS, launch_rising=rising
-        ).analyze()
+        )
         compiled = CompiledSTA(circuit, mini_models).analyze(
             input_slew=slew_ps * PS, launch_rising=rising
         )
-        assert_equivalent(scalar, compiled)
+        assert_equivalent(expected, compiled)
+
+
+class TestEntryPoint:
+    """``StatisticalSTA`` is one scenario of ``CompiledSTA``, exactly."""
+
+    @pytest.mark.parametrize("which", ["adder", "random"])
+    @pytest.mark.parametrize("rising", [True, False])
+    @pytest.mark.parametrize("slew_ps", [20.0, 150.0])
+    def test_same_result_as_engine(
+        self, which, rising, slew_ps, adder_circuit, mini_models, tech
+    ):
+        circuit = adder_circuit if which == "adder" else build_mini_circuit(23, tech=tech)
+        levels = (-3, 0, 2)
+        entry = StatisticalSTA(
+            circuit, mini_models, input_slew=slew_ps * PS, launch_rising=rising
+        ).analyze(levels)
+        engine = CompiledSTA(circuit, mini_models).analyze(
+            input_slew=slew_ps * PS, launch_rising=rising, levels=levels
+        )
+        assert entry.arrival == engine.arrival
+        assert entry.critical_path == engine.critical_path
+        assert entry.correlated_quantiles == engine.correlated_quantiles
 
 
 class TestBatchSemantics:
@@ -198,8 +222,8 @@ class TestBatchSemantics:
         result = engine.analyze_batch([Scenario(input_slew=35 * PS)])[0]
         assert list(result.arrival) == engine.design.net_names
         assert all(type(value) is float for value in result.arrival.values())
-        scalar = StatisticalSTA(circuit, mini_models, input_slew=35 * PS).analyze()
-        assert result.arrival == scalar.arrival
+        expected = oracle_analyze(circuit, mini_models, input_slew=35 * PS)
+        assert result.arrival == expected.arrival
 
     def test_design_shape(self, compiled_adder, adder_circuit):
         design = compiled_adder.design
@@ -417,7 +441,7 @@ class TestErrors:
 
 
 class TestScalarCaches:
-    """The scalar engine's memoized lookups keep results unchanged."""
+    """Memoized model lookups and the entry point's one engine."""
 
     def test_cell_ratio_memoized(self, mini_models):
         mini_models._ratio_cache.clear()
@@ -432,19 +456,20 @@ class TestScalarCaches:
     def test_flat_pass_built_once_per_engine(
         self, adder_circuit, mini_models, monkeypatch
     ):
-        import repro.core.sta as sta_module
+        import repro.core.sta_compiled as sta_compiled
 
         calls = []
-        real = sta_module.flatten_parasitics
+        real = sta_compiled.flatten_parasitics
 
         def counting(circuit, models):
             calls.append(circuit.name)
             return real(circuit, models)
 
-        monkeypatch.setattr(sta_module, "flatten_parasitics", counting)
+        monkeypatch.setattr(sta_compiled, "flatten_parasitics", counting)
         sta = StatisticalSTA(adder_circuit, mini_models)
         first = sta.analyze()
         second = sta.analyze()
         assert calls == [adder_circuit.name]
+        assert sta._engine.perf.sta_compiles == 1
         assert first.arrival == second.arrival
         assert first.critical_path.quantiles == second.critical_path.quantiles

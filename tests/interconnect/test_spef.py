@@ -51,6 +51,18 @@ class TestRoundTrip:
         assert set(back.leaves()) == {"b", "c"}
         assert back.root == "drv"
 
+    def test_sub_attofarad_cap_survives(self, tmp_path):
+        # Values are written with significant digits, not fixed decimals:
+        # a 0.00048 fF node cap would otherwise be written as 0.000000.
+        t = RCTree("drv")
+        t.add_segment("a", "drv", 2992.0, 4.8e-22)
+        path = tmp_path / "tiny.spef"
+        write_spef({"n": t}, path)
+        back = read_spef(path)["n"]
+        assert back.total_cap() == pytest.approx(4.8e-22, rel=1e-8)
+        assert elmore_delay(back, "a") == pytest.approx(
+            elmore_delay(t, "a"), rel=1e-8)
+
 
 class TestErrors:
     def test_missing_res_section(self, tmp_path):

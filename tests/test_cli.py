@@ -209,6 +209,38 @@ class TestPackEndToEnd:
         assert doc["circuit_name"] == "pulpino_add"
         assert doc["levels"]
 
+    def test_pack_flattens_once_per_design(
+        self, tmp_path, capsys, mini_models, monkeypatch
+    ):
+        import repro.core.sta_compiled as sta_compiled
+        from repro.netlist.benchmarks import attach_parasitics, build_pulpino_unit
+        from repro.pack import PackFile
+
+        calls = []
+        real = sta_compiled.flatten_parasitics
+
+        def counting(circuit, models):
+            calls.append(circuit.name)
+            return real(circuit, models)
+
+        monkeypatch.setattr(sta_compiled, "flatten_parasitics", counting)
+        packs = tmp_path / "packs"
+        code = main(
+            ["pack", "ADD", "SUB", "--width", "2", "-o", str(packs)]
+            + _mini_flow_cli_args()
+        )
+        assert code == 0
+        assert calls == ["pulpino_add", "pulpino_sub"]
+        monkeypatch.undo()
+        pack = PackFile.open(packs / "pulpino_add.rpk")
+        try:
+            recorded = pack.meta["design_cache_key"]
+        finally:
+            pack.close()
+        circuit = build_pulpino_unit("ADD", 2)
+        attach_parasitics(circuit, mini_models.tech, seed=1)  # --parasitic-seed
+        assert recorded == sta_compiled.design_cache_key(circuit, mini_models)
+
     def test_pack_writes_library_bundle(self, tmp_path, capsys, mini_charac):
         packs = tmp_path / "packs"
         code = main(
