@@ -1,4 +1,4 @@
-"""Content-hashed on-disk JSON cache for expensive simulation artifacts.
+"""Content-hashed on-disk cache for expensive simulation artifacts.
 
 Characterizing a library point takes seconds; a full grid takes minutes.
 The artifacts are pure functions of their inputs (netlist, variation
@@ -6,6 +6,12 @@ model, grid, sample count, seed), so they are cached on disk keyed by a
 SHA-256 hash of a canonical-JSON payload describing exactly those
 inputs — change any knob and the key changes, touch nothing and the
 cache hits forever.
+
+Small human-readable artifacts (arc tables, fitted models) are JSON
+files, ``<kind>_<key>.json``. Compiled designs are tensor-heavy and
+are stored as mmap-able ``.rpk`` packs (:mod:`repro.pack`),
+``<kind>_<key>.rpk``, in the same directory and under the same
+hit/miss/corrupt accounting (:meth:`JsonCache.get_pack`).
 
 This module was promoted out of the benchmark harness so the CLI,
 examples and tests all share one cache. The default location is
@@ -20,13 +26,15 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, TypeVar, Union
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Fallback cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+T = TypeVar("T")
 
 
 def default_cache_dir() -> Path:
@@ -83,6 +91,10 @@ def content_key(payload: Any, length: int = 16, versioned: bool = True) -> str:
 class JsonCache:
     """A directory of ``<kind>_<key>.json`` artifacts with hit/miss stats.
 
+    The same directory also holds ``<kind>_<key>.rpk`` packs, read
+    through :meth:`get_pack` with the same accounting; the compile
+    cache of :func:`repro.core.sta_compiled.compile_design` uses them.
+
     Safe under concurrent writers: every :meth:`put` writes to a
     process-unique temp file (two processes storing the same key can
     never truncate each other mid-write), fsyncs it, and atomically
@@ -102,11 +114,6 @@ class JsonCache:
         ``cache_hits`` / ``cache_misses`` / ``cache_corrupt``.
     """
 
-    #: Whether artifacts are binary packs (ndarray leaves allowed in
-    #: :meth:`put` documents). Producers key their ``to_dict(arrays=...)``
-    #: call on this so one code path serves both cache flavors.
-    binary = False
-
     def __init__(self, directory: Optional[Union[str, Path]] = None, perf=None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.hits = 0
@@ -119,10 +126,12 @@ class JsonCache:
     def sweep_orphans(self) -> int:
         """Delete leftover ``*.tmp`` files from crashed writers; returns count.
 
-        Called on construction. A temp file belonging to a concurrent
-        live writer may be swept too; :meth:`put` recovers from that by
-        rewriting (its atomic rename simply fails and is retried with a
-        fresh temp file), so the sweep is always safe.
+        Called on construction; this covers the temp files of both
+        :meth:`put` and the pack writer behind :meth:`put_pack`. A temp
+        file belonging to a concurrent live writer may be swept too;
+        both writers recover from that by rewriting (the atomic rename
+        simply fails and is retried with a fresh temp file), so the
+        sweep is always safe.
         """
         if not self.directory.exists():
             return 0
@@ -145,6 +154,12 @@ class JsonCache:
         if self.perf is not None:
             self.perf.cache_misses += 1
 
+    def pack_path(self, kind: str, key: str) -> Path:
+        """File path of a packed artifact (may not exist yet)."""
+        from repro.pack import PACK_SUFFIX
+
+        return self.directory / f"{kind}_{key}{PACK_SUFFIX}"
+
     def get(self, kind: str, key: str) -> Optional[Dict[str, Any]]:
         """Load an artifact, or ``None`` on miss (or unreadable file).
 
@@ -159,17 +174,37 @@ class JsonCache:
         miss, not corruption: this reader never saw the bytes, so it has
         no grounds to count (or unlink) anything.
         """
-        path = self.path(kind, key)
+
+        def read(path: Path) -> Dict[str, Any]:
+            with path.open() as fh:
+                return json.load(fh)
+
+        return self._load(self.path(kind, key), read, json.JSONDecodeError)
+
+    def get_pack(self, kind: str, key: str, load: Callable[[Path], T]) -> Optional[T]:
+        """Open :meth:`pack_path` with ``load``, or ``None`` on miss.
+
+        ``load`` maps the path to the artifact and raises
+        :class:`~repro.errors.PackError` (or ``OSError``) when the pack
+        does not validate; such a pack is corrupt and handled as in
+        :meth:`get`: unlinked, counted, reported as a miss.
+        """
+        from repro.errors import PackError
+
+        return self._load(self.pack_path(kind, key), load, PackError)
+
+    def _load(self, path: Path, read: Callable[[Path], T], errors) -> Optional[T]:
         if not path.exists():
             self._count_miss()
             return None
         try:
-            with path.open() as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            self._count_miss()
-            return None
-        except (OSError, json.JSONDecodeError):
+            doc = read(path)
+        except (OSError, errors) as exc:
+            if isinstance(exc, FileNotFoundError) or isinstance(
+                exc.__cause__, FileNotFoundError
+            ):
+                self._count_miss()
+                return None
             self.corrupt += 1
             if self.perf is not None:
                 self.perf.cache_corrupt += 1
@@ -220,127 +255,39 @@ class JsonCache:
                     pass
         raise OSError(f"could not store cache artifact {path}")  # pragma: no cover
 
+    def put_pack(self, kind: str, key: str, write: Callable[[Path], Path]) -> Path:
+        """Store a pack at :meth:`pack_path` through ``write``.
+
+        ``write`` is an atomic pack writer such as
+        :func:`repro.pack.pack_compiled_design` bound to its artifact;
+        it is retried once if a concurrent :meth:`sweep_orphans` took
+        its live temp file before the rename.
+        """
+        path = self.pack_path(kind, key)
+        try:
+            return write(path)
+        except FileNotFoundError:
+            return write(path)
+
     def purge(self, kind: Optional[str] = None) -> int:
-        """Delete cached artifacts (optionally only one ``kind``); returns count."""
+        """Delete cached JSON artifacts and packs (optionally only one ``kind``).
+
+        Returns the number of files removed.
+        """
+        from repro.pack import PACK_SUFFIX
+
         if not self.directory.exists():
             return 0
-        pattern = f"{kind}_*.json" if kind else "*.json"
+        prefix = f"{kind}_*" if kind else "*"
         removed = 0
-        for path in self.directory.glob(pattern):
-            path.unlink()
-            removed += 1
+        for suffix in (".json", PACK_SUFFIX):
+            for path in self.directory.glob(prefix + suffix):
+                path.unlink()
+                removed += 1
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"JsonCache({str(self.directory)!r}, hits={self.hits}, "
-            f"misses={self.misses})"
-        )
-
-
-class PackCache(JsonCache):
-    """Binary sibling of :class:`JsonCache`: ``<kind>_<key>.rpk`` packs.
-
-    Drop-in for the compile cache and per-arc checkpoints: identical
-    ``get``/``put`` dict interface, but documents whose leaves are
-    numpy arrays are stored as memory-mappable packs
-    (:mod:`repro.pack`) instead of JSON. :meth:`get` returns the packed
-    document with every tensor as a **read-only zero-copy mmap view**
-    (plus the open :class:`~repro.pack.PackFile` under the
-    ``"__pack__"`` key), so ``from_dict``-style consumers — whose
-    ``np.asarray`` calls pass matching arrays through uncopied —
-    reconstruct artifacts without parsing or materializing tensor data.
-
-    Corruption handling matches :class:`JsonCache`: a pack that fails
-    header or digest validation is unlinked, counted in ``corrupt`` /
-    ``cache_corrupt``, and reported as a miss.
-
-    Parameters
-    ----------
-    directory / perf:
-        As for :class:`JsonCache`.
-    verify:
-        Re-hash every segment on :meth:`get` (default). ``False``
-        trusts the header checks only; use it for same-process
-        read-after-write paths where the digest cost is pure overhead.
-    """
-
-    binary = True
-
-    def __init__(
-        self,
-        directory: Optional[Union[str, Path]] = None,
-        perf=None,
-        verify: bool = True,
-    ):
-        super().__init__(directory, perf=perf)
-        self.verify = verify
-
-    def path(self, kind: str, key: str) -> Path:
-        """File path of an artifact (may not exist yet)."""
-        from repro.pack import PACK_SUFFIX
-
-        return self.directory / f"{kind}_{key}{PACK_SUFFIX}"
-
-    def get(self, kind: str, key: str) -> Optional[Dict[str, Any]]:
-        """Load a packed artifact zero-copy, or ``None`` on miss.
-
-        The returned dict is the stored document plus ``"__pack__"``
-        (the open :class:`~repro.pack.PackFile`); arrays in it are
-        views into the mapping and stay valid for their own lifetime
-        (the views' ``base`` chain pins the mmap).
-        """
-        from repro.pack import PackError, PackFile
-
-        path = self.path(kind, key)
-        if not path.exists():
-            self._count_miss()
-            return None
-        try:
-            pack = PackFile.open(path, verify=self.verify, perf=self.perf)
-        except PackError:
-            self.corrupt += 1
-            if self.perf is not None:
-                self.perf.cache_corrupt += 1
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - raced with another reader
-                pass
-            self._count_miss()
-            return None
-        doc = pack.document()
-        doc["__pack__"] = pack
-        self.hits += 1
-        if self.perf is not None:
-            self.perf.cache_hits += 1
-        return doc
-
-    def put(self, kind: str, key: str, doc: Dict[str, Any]) -> Path:
-        """Store a document as a pack (atomic temp-write + rename)."""
-        from repro.pack import write_pack
-
-        doc = {k: v for k, v in doc.items() if k != "__pack__"}
-        return write_pack(
-            self.path(kind, key),
-            kind,
-            doc,
-            meta={"cache_key": key},
-            perf=self.perf,
-        )
-
-    def purge(self, kind: Optional[str] = None) -> int:
-        """Delete cached packs (optionally only one ``kind``); returns count."""
-        if not self.directory.exists():
-            return 0
-        pattern = f"{kind}_*.rpk" if kind else "*.rpk"
-        removed = 0
-        for path in self.directory.glob(pattern):
-            path.unlink()
-            removed += 1
-        return removed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PackCache({str(self.directory)!r}, hits={self.hits}, "
             f"misses={self.misses})"
         )

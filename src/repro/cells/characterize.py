@@ -752,11 +752,7 @@ def characterize_library(
             # Never checkpoint a table that violates lint invariants: a
             # poisoned checkpoint would be restored forever.
             if lint_characterization(table).ok:
-                cache.put(
-                    "arc",
-                    key,
-                    table_to_dict(table, arrays=getattr(cache, "binary", False)),
-                )
+                cache.put("arc", key, table_to_dict(table))
                 if journal is not None:
                     journal.event("checkpoint", key=key, arc=list(arc_key))
 
@@ -980,10 +976,6 @@ def _surrogate_characterize_pending(
         out.put(table)
         if cache is not None and key is not None:
             if lint_characterization(table).ok:
-                cache.put(
-                    "arc",
-                    key,
-                    table_to_dict(table, arrays=getattr(cache, "binary", False)),
-                )
+                cache.put("arc", key, table_to_dict(table))
                 if journal is not None:
                     journal.event("checkpoint", key=key, arc=list(arc_key))

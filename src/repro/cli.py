@@ -22,7 +22,7 @@ Commands
     Produce, expand and audit the mmap-able binary ``.rpk`` artifacts
     (:mod:`repro.pack`): ``pack`` compiles circuits (and optionally the
     characterized library) into single-file packs that ``serve --pack``
-    and the :class:`repro.cache.PackCache` load by mmap + digest verify;
+    and the compile cache load by mmap + digest verify;
     ``unpack`` emits the equivalent plain-JSON document; ``inspect``
     prints the manifest and re-verifies every segment digest.
 ``cells``

@@ -454,27 +454,26 @@ class ArcTensorBank:
         return np.maximum(raw, 0.1 * PS)
 
     # ------------------------------------------------------------------
-    def to_dict(self, arrays: bool = False) -> dict:
-        """Serializable form (``arrays=True`` keeps ndarray leaves for packs)."""
-        keep = (lambda a: a) if arrays else (lambda a: a.tolist())
+    def to_dict(self) -> dict:
+        """Serializable form with ndarray leaves (a pack document part)."""
         return {
             "index": [
                 [cell, pin, bool(rising), row]
                 for (cell, pin, rising), row in sorted(self.index.items())
             ],
-            "ref": keep(self.ref),
-            "mu_coef": keep(self.mu_coef),
-            "sigma_coef": keep(self.sigma_coef),
-            "skew_coef": keep(self.skew_coef),
-            "kurt_coef": keep(self.kurt_coef),
-            "slew_ref": keep(self.slew_ref),
-            "slew_coef": keep(self.slew_coef),
-            "s_ref": keep(self.s_ref),
-            "c_ref": keep(self.c_ref),
-            "s_lo": keep(self.s_lo),
-            "s_hi": keep(self.s_hi),
-            "c_lo": keep(self.c_lo),
-            "c_hi": keep(self.c_hi),
+            "ref": self.ref,
+            "mu_coef": self.mu_coef,
+            "sigma_coef": self.sigma_coef,
+            "skew_coef": self.skew_coef,
+            "kurt_coef": self.kurt_coef,
+            "slew_ref": self.slew_ref,
+            "slew_coef": self.slew_coef,
+            "s_ref": self.s_ref,
+            "c_ref": self.c_ref,
+            "s_lo": self.s_lo,
+            "s_hi": self.s_hi,
+            "c_lo": self.c_lo,
+            "c_hi": self.c_hi,
         }
 
     @classmethod

@@ -23,10 +23,12 @@ numpy sweeps per topological level:
     ``X_w``, and the per-net endpoint Elmore used for
     critical-endpoint selection.
 
-  The artifact is JSON-serializable and cached in a
-  :class:`~repro.cache.JsonCache` keyed on a hash of that pass, the
-  gate table and the calibration digest — re-analyzing a design reuses
-  the compile.
+  Given a :class:`~repro.cache.JsonCache`, the artifact is stored in
+  its directory as one digest-verified ``.rpk`` pack
+  (:func:`~repro.pack.pack_compiled_design`), keyed on a hash of that
+  pass, the gate table and the calibration digest. Re-analyzing a
+  design maps the pack back in (:func:`~repro.pack.load_compiled_design`)
+  with every tensor a read-only zero-copy view, instead of rebuilding it.
 
 * **Query** (:meth:`CompiledSTA.analyze_batch`): any number of
   :class:`Scenario` objects evaluate in one vectorized pass — state
@@ -160,38 +162,6 @@ class CompiledLevel:
         """Number of real (gate, pin) arcs in the level."""
         return int(self.valid.sum())
 
-    def to_dict(self, arrays: bool = False) -> dict:
-        """Serializable form (``arrays=True`` keeps ndarray leaves for packs)."""
-        keep = (lambda a: a) if arrays else (lambda a: a.tolist())
-        return {
-            "gate_names": _pack_str_list(self.gate_names)
-            if arrays
-            else self.gate_names,
-            "out_net": keep(self.out_net),
-            "load": keep(self.load),
-            "valid": keep(self.valid),
-            "src_net": keep(self.src_net),
-            "elm_in": keep(self.elm_in),
-            "inverting": keep(self.inverting),
-            "arc_rise": keep(self.arc_rise),
-            "arc_fall": keep(self.arc_fall),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompiledLevel":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            gate_names=_str_list_from(data["gate_names"]),
-            out_net=np.asarray(data["out_net"], dtype=np.int64),
-            load=np.asarray(data["load"], dtype=float),
-            valid=np.asarray(data["valid"], dtype=bool),
-            src_net=np.asarray(data["src_net"], dtype=np.int64),
-            elm_in=np.asarray(data["elm_in"], dtype=float),
-            inverting=np.asarray(data["inverting"], dtype=bool),
-            arc_rise=np.asarray(data["arc_rise"], dtype=np.int64),
-            arc_fall=np.asarray(data["arc_fall"], dtype=np.int64),
-        )
-
 
 #: Separators of the packed sink-table key blob. Neither occurs in the
 #: netlist subset's identifiers; the encoder falls back to pair lists
@@ -222,7 +192,7 @@ def _pack_sink_table(table: Dict[SinkKey, float]):
 
 
 def _sink_table_from(data) -> Dict[SinkKey, float]:
-    """Inverse of :func:`_pack_sink_table` (either encoding)."""
+    """Inverse of :func:`_pack_sink_table` (blob or separator fallback)."""
     if isinstance(data, dict):
         raw = np.asarray(data["keys"], dtype=np.uint8).tobytes()
         values = np.asarray(data["values"], dtype=float)
@@ -266,7 +236,7 @@ def _pack_str_list(names: List[str]):
 
 
 def _str_list_from(data) -> List[str]:
-    """Inverse of :func:`_pack_str_list` (either encoding)."""
+    """Inverse of :func:`_pack_str_list` (blob or plain-list fallback)."""
     if isinstance(data, dict):
         raw = np.asarray(data["blob"], dtype=np.uint8).tobytes()
         return raw.decode("utf-8").split(_KEY_ENTRY_SEP)
@@ -320,9 +290,7 @@ def _pack_levels(levels: List["CompiledLevel"]) -> dict:
 
 
 def _levels_from(data) -> List["CompiledLevel"]:
-    """Inverse of :func:`_pack_levels` (either encoding)."""
-    if isinstance(data, list):
-        return [CompiledLevel.from_dict(d) for d in data]
+    """Inverse of :func:`_pack_levels`."""
     shapes = np.asarray(data["shapes"], dtype=np.int64).reshape(-1, 2)
     names = _str_list_from(data["gate_names"])
     flat_g = {
@@ -384,9 +352,9 @@ class CompiledDesign:
     pack:
         The open :class:`~repro.pack.PackFile` when this design's
         tensors are read-only zero-copy views into a mmap'd ``.rpk``
-        (set by :func:`repro.pack.load_compiled_design` and the
-        :class:`~repro.cache.PackCache` path of
-        :func:`compile_design`); ``None`` for heap-resident designs.
+        (set by :func:`repro.pack.load_compiled_design`, which is also
+        how a :func:`compile_design` cache hit loads); ``None`` for
+        heap-resident designs.
         mmap-backed designs cost only their python side tables in
         private memory — the tensor bytes are shared page cache.
     cache_key:
@@ -427,38 +395,29 @@ class CompiledDesign:
         """Number of (gate, pin) arcs evaluated per scenario."""
         return sum(level.n_arcs for level in self.levels)
 
-    def to_dict(self, arrays: bool = False) -> dict:
-        """Serializable form (the cache/pack artifact).
+    def to_dict(self) -> dict:
+        """The pack document: a dict tree with ndarray leaves.
 
-        ``arrays=False`` (default) emits nested lists for JSON;
-        ``arrays=True`` keeps the ndarrays so :mod:`repro.pack` can
-        store them as raw binary segments.
+        :mod:`repro.pack` stores the leaves as raw binary segments;
+        :func:`repro.pack.delist_document` turns them into nested
+        lists for portable JSON (``repro unpack``).
         """
-        keep = (lambda a: a) if arrays else (lambda a: a.tolist())
         return {
             "circuit_name": self.circuit_name,
-            "net_names": _pack_str_list(self.net_names)
-            if arrays
-            else self.net_names,
-            "input_nets": keep(self.input_nets),
-            "net_load": keep(self.net_load),
-            "end_elmore": keep(self.end_elmore),
-            "levels": _pack_levels(self.levels)
-            if arrays
-            else [level.to_dict() for level in self.levels],
-            "arc_table": self.arcs.to_dict(arrays=arrays),
-            "sink_elmore": _pack_sink_table(self.sink_elmore)
-            if arrays
-            else [[list(k), v] for k, v in sorted(self.sink_elmore.items())],
-            "sink_xw": _pack_sink_table(self.sink_xw)
-            if arrays
-            else [[list(k), v] for k, v in sorted(self.sink_xw.items())],
+            "net_names": _pack_str_list(self.net_names),
+            "input_nets": self.input_nets,
+            "net_load": self.net_load,
+            "end_elmore": self.end_elmore,
+            "levels": _pack_levels(self.levels),
+            "arc_table": self.arcs.to_dict(),
+            "sink_elmore": _pack_sink_table(self.sink_elmore),
+            "sink_xw": _pack_sink_table(self.sink_xw),
             "calibration_digest": self.calibration_digest,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompiledDesign":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`, with ndarray or nested-list leaves."""
         sink_elmore = _sink_table_from(data["sink_elmore"])
         sink_xw = _sink_xw_from(data["sink_xw"], data["sink_elmore"], sink_elmore)
         return cls(
@@ -518,36 +477,49 @@ def compile_design(
     models: TimingModels,
     cache: Optional[JsonCache] = None,
     perf: Optional[PerfCounters] = None,
+    flat: Optional[FlatParasitics] = None,
 ) -> CompiledDesign:
     """Levelize + pack a circuit into a :class:`CompiledDesign`.
 
     The circuit is linted first: structural errors raise
-    :class:`~repro.errors.TimingError` before anything is built. With
-    ``cache`` given, the artifact is stored/loaded keyed on
-    :func:`design_cache_key` (kept as ``design.cache_key``); a loaded
-    artifact is run through the ``NSM003`` drift lint
-    (:func:`repro.lint.lint_compiled_design`) and rebuilt — never
-    served — when its packed tensors disagree with the current
-    calibration. A :class:`~repro.cache.PackCache` stores the
-    artifact as a mmap-able ``.rpk`` instead of JSON; hits then bind
-    the tensors as read-only zero-copy views (``design.pack`` holds the
-    mapping).
+    :class:`~repro.errors.TimingError` before anything is built.
+    ``flat`` is the circuit's :func:`~repro.core.sta.flatten_parasitics`
+    pass when the caller already ran it (computed here otherwise).
+
+    With ``cache`` given, the artifact is the pack
+    ``<cache.directory>/sta_compiled_<key>.rpk`` keyed on
+    :func:`design_cache_key` (kept as ``design.cache_key``). A miss
+    builds the design and writes the pack
+    (:func:`~repro.pack.pack_compiled_design`); a hit maps it back with
+    every digest verified (:func:`~repro.pack.load_compiled_design`),
+    so its tensors are read-only zero-copy views and ``design.pack``
+    holds the mapping. A pack that fails to open is unlinked, counted
+    in ``cache.corrupt`` and rebuilt. A loaded design is run through
+    the ``NSM003`` drift lint (:func:`repro.lint.lint_compiled_design`)
+    and rebuilt — never served — when its packed tensors disagree with
+    the current calibration.
     """
     from repro.lint import lint_circuit, lint_compiled_design
+    from repro.pack import load_compiled_design, pack_compiled_design
 
     lint_circuit(circuit, library=models.library).raise_if_errors(
         TimingError, context=f"circuit {circuit.name}"
     )
     perf = perf if perf is not None else PerfCounters()
     digest = models.calibrated.content_digest()
-    flat = flatten_parasitics(circuit, models)
+    if flat is None:
+        flat = flatten_parasitics(circuit, models)
     key = None
     if cache is not None:
         key = design_cache_key(circuit, models, flat)
-        doc = cache.get(COMPILE_CACHE_KIND, key)
-        if doc is not None:
-            candidate = CompiledDesign.from_dict(doc)
-            candidate.pack = doc.get("__pack__")
+        candidate = cache.get_pack(
+            COMPILE_CACHE_KIND,
+            key,
+            lambda path: load_compiled_design(
+                path, verify=True, expected_key=key, perf=perf
+            ),
+        )
+        if candidate is not None:
             candidate.cache_key = key
             if not lint_compiled_design(candidate, models.calibrated).errors:
                 return candidate
@@ -556,10 +528,12 @@ def compile_design(
     design.cache_key = key
     perf.incr(sta_compiles=1)
     if cache is not None and key is not None:
-        cache.put(
+        cache.put_pack(
             COMPILE_CACHE_KIND,
             key,
-            design.to_dict(arrays=getattr(cache, "binary", False)),
+            lambda path: pack_compiled_design(
+                design, path, design_key=key, perf=perf
+            ),
         )
     return design
 
@@ -665,7 +639,8 @@ class CompiledSTA:
         The design and fitted models (must match the compile artifact).
     cache:
         Optional :class:`~repro.cache.JsonCache`; the compile artifact
-        is stored/loaded there keyed on circuit + calibration content.
+        is stored/loaded there as a ``.rpk`` pack keyed on circuit +
+        calibration content (see :func:`compile_design`).
     perf:
         Optional shared :class:`~repro.perf.PerfCounters`; compile and
         query work is recorded under ``sta_*`` counters and the

@@ -560,7 +560,7 @@ def pack_compiled_design(
     return write_pack(
         path,
         COMPILED_DESIGN_KIND,
-        design.to_dict(arrays=True),
+        design.to_dict(),
         meta=meta,
         perf=perf,
         journal=journal,

@@ -41,7 +41,8 @@ What is counted and why it matters:
 * ``pack_writes`` / ``pack_loads`` / ``pack_verifies`` — packed binary
   artifacts (:mod:`repro.pack`): ``.rpk`` files written, opened by
   ``mmap`` (the zero-copy cold-start path of the design registry and
-  :class:`repro.cache.PackCache`), and full per-segment sha256
+  the compile cache of :func:`repro.core.sta_compiled.compile_design`),
+  and full per-segment sha256
   verification passes.
 * ``task_retries`` / ``task_quarantines`` / ``pool_crashes`` — the
   fault-tolerance layer (:mod:`repro.parallel`): attempts re-executed

@@ -12,14 +12,16 @@ bound nothing.
 
 Eviction is least-recently-queried and is journaled (``serve_evict``)
 so an operator can see thrash in the audit trail; an evicted design is
-not an error — the next query recompiles it (or reloads it from the
-:class:`~repro.cache.JsonCache` compile cache, which keeps the cold
-cost at JSON-parse rather than full levelization). The design being
-served is never evicted to make room for itself, even when it alone
-exceeds the budget.
+not an error — the next query recompiles it (or maps it back from the
+``.rpk`` pack the compile cache keeps in its
+:class:`~repro.cache.JsonCache` directory, which keeps the cold cost
+at a digest-verified mmap rather than full levelization). The design
+being served is never evicted to make room for itself, even when it
+alone exceeds the budget.
 
 With a packed artifact attached (:meth:`DesignRegistry.attach_pack`),
-cold loads skip even the JSON parse: the ``.rpk`` is ``mmap``'d
+cold loads skip the compile path altogether (circuit lint, flat
+parasitic pass, design key): the ``.rpk`` is ``mmap``'d
 (:mod:`repro.pack`), digest-verified, and bound as read-only zero-copy
 views, so a reload costs hashing + a small manifest parse, the tensor
 bytes live in shared page cache across the worker threads, and the LRU
@@ -45,7 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.cache import JsonCache
-from repro.core.sta import TimingModels
+from repro.core.sta import FlatParasitics, TimingModels, flatten_parasitics
 from repro.core.sta_compiled import (
     CompiledDesign,
     CompiledSTA,
@@ -129,6 +131,10 @@ class _Entry:
     loads: int = 0
     pack_path: Optional[Path] = None
     mmap_backed: bool = False
+    # The flat parasitic pass `register` keyed the design with, handed
+    # to the first compile; dropped once that compile or a pack has
+    # made it redundant.
+    flat: Optional[FlatParasitics] = None
 
 
 class DesignRegistry:
@@ -138,7 +144,7 @@ class DesignRegistry:
     ----------
     cache:
         Optional compile-artifact :class:`~repro.cache.JsonCache`; with
-        it, eviction demotes a design to a JSON reload instead of a full
+        it, eviction demotes a design to a pack reload instead of a full
         recompile.
     perf:
         Shared counters; loads and evictions are recorded under
@@ -179,7 +185,8 @@ class DesignRegistry:
         query. Re-registering an existing name replaces it (and drops
         any resident engine of the old content).
         """
-        key = design_cache_key(circuit, models)
+        flat = flatten_parasitics(circuit, models)
+        key = design_cache_key(circuit, models, flat)
         with self._lock:
             old = self._entries.get(name)
             if old is not None and old.key == key:
@@ -187,7 +194,7 @@ class DesignRegistry:
             if old is not None:
                 self._resident.pop(name, None)
             self._entries[name] = _Entry(
-                name=name, circuit=circuit, models=models, key=key
+                name=name, circuit=circuit, models=models, key=key, flat=flat
             )
         return key
 
@@ -204,7 +211,7 @@ class DesignRegistry:
         answers). Returns ``True`` and remembers the path on success;
         an invalid or stale pack is refused with a ``pack_verify``
         (``ok: false``) journal event and ``False`` — the design then
-        simply compiles (or JSON-reloads) as before.
+        simply compiles (or reloads from the compile cache) as before.
 
         Subsequent cold loads — first query and every
         reload-after-eviction — ``mmap`` the pack instead of parsing,
@@ -250,6 +257,7 @@ class DesignRegistry:
         with self._lock:
             if self._entries.get(name) is entry:
                 entry.pack_path = path
+                entry.flat = None
         return True
 
     def _load_from_pack(self, entry: _Entry) -> Optional[CompiledDesign]:
@@ -333,8 +341,13 @@ class DesignRegistry:
                 design = self._load_from_pack(entry)
             if design is None:
                 design = compile_design(
-                    entry.circuit, entry.models, cache=self.cache, perf=self.perf
+                    entry.circuit,
+                    entry.models,
+                    cache=self.cache,
+                    perf=self.perf,
+                    flat=entry.flat,
                 )
+                entry.flat = None
             engine = CompiledSTA(
                 entry.circuit, entry.models, perf=self.perf, design=design
             )

@@ -8,7 +8,8 @@ arrivals, the critical path, every stage's slew, load, moments and
 quantiles, and the Eq. 10 totals — on the deterministic adder fixture
 (with and without parasitics), on random ISCAS85-like circuits
 (example-based and hypothesis-driven) and across the compile cache
-round trip.
+round trip. The compile cache stores each design as one ``.rpk`` pack;
+its hit, corruption and staleness paths are tested here too.
 """
 
 import numpy as np
@@ -17,6 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import JsonCache
+from repro.pack import (
+    PackFile,
+    delist_document,
+    load_compiled_design,
+    pack_compiled_design,
+)
+from repro.perf import PerfCounters
 from repro.core.sta import StatisticalSTA
 from repro.core.sta_compiled import (
     COMPILE_CACHE_KIND,
@@ -67,6 +75,45 @@ def assert_equivalent(expected, result):
         assert r_stage == e_stage
     for n in ep.levels:
         assert rp.total(n) == ep.total(n)
+
+
+def design_arrays(design):
+    """Every tensor of a compiled design, by a stable name."""
+    arrays = {
+        "input_nets": design.input_nets,
+        "net_load": design.net_load,
+        "end_elmore": design.end_elmore,
+    }
+    for i, level in enumerate(design.levels):
+        for name in (
+            "out_net", "load", "valid", "src_net", "elm_in",
+            "inverting", "arc_rise", "arc_fall",
+        ):
+            arrays[f"levels.{i}.{name}"] = getattr(level, name)
+    for name in (
+        "ref", "mu_coef", "sigma_coef", "skew_coef", "kurt_coef", "slew_ref",
+        "slew_coef", "s_ref", "c_ref", "s_lo", "s_hi", "c_lo", "c_hi",
+    ):
+        arrays[f"arcs.{name}"] = getattr(design.arcs, name)
+    return arrays
+
+
+def assert_same_design(expected, got):
+    """``got`` equals ``expected`` array for array, entry for entry."""
+    assert got.circuit_name == expected.circuit_name
+    assert got.net_names == expected.net_names
+    assert [lv.gate_names for lv in got.levels] == [
+        lv.gate_names for lv in expected.levels
+    ]
+    want, have = design_arrays(expected), design_arrays(got)
+    assert list(have) == list(want)
+    for name, array in want.items():
+        assert have[name].dtype == array.dtype, name
+        assert np.array_equal(have[name], array), name
+    assert got.arcs.index == expected.arcs.index
+    assert got.sink_elmore == expected.sink_elmore
+    assert got.sink_xw == expected.sink_xw
+    assert got.calibration_digest == expected.calibration_digest
 
 
 @pytest.fixture(scope="module")
@@ -359,13 +406,9 @@ class TestCompileCache:
         import json
 
         design = compile_design(adder_circuit, mini_models)
-        restored = CompiledDesign.from_dict(json.loads(json.dumps(design.to_dict())))
-        assert restored.net_names == design.net_names
-        assert np.array_equal(restored.net_load, design.net_load)
-        assert np.array_equal(restored.end_elmore, design.end_elmore)
-        assert restored.sink_elmore == design.sink_elmore
-        assert restored.arcs.index == design.arcs.index
-        assert np.array_equal(restored.arcs.mu_coef, design.arcs.mu_coef)
+        text = json.dumps(delist_document(design.to_dict()))
+        restored = CompiledDesign.from_dict(json.loads(text))
+        assert_same_design(design, restored)
 
     def test_stale_artifact_is_rebuilt_not_served(
         self, adder_circuit, mini_models, tmp_path
@@ -373,16 +416,95 @@ class TestCompileCache:
         cache = JsonCache(tmp_path)
         compile_design(adder_circuit, mini_models, cache=cache)
         key = design_cache_key(adder_circuit, mini_models)
-        doc = cache.get(COMPILE_CACHE_KIND, key)
-        # Corrupt the cached tensors as a stale-calibration artifact would be.
-        doc["arc_table"]["mu_coef"][0][0] *= 1.5
-        cache.put(COMPILE_CACHE_KIND, key, doc)
+        path = cache.pack_path(COMPILE_CACHE_KIND, key)
+        # Rewrite the pack with scaled tensors, as a stale-calibration
+        # artifact would carry; its digests are valid.
+        stale = compile_design(adder_circuit, mini_models)
+        stale.arcs.mu_coef[0, 0] *= 1.5
+        pack_compiled_design(stale, path, design_key=key)
+        PackFile.open(path, verify=True)
         hits_before = cache.hits
         served = compile_design(adder_circuit, mini_models, cache=cache)
         # The poisoned artifact was loaded but failed the drift lint and
         # was rebuilt: the served design matches the live calibration.
         assert cache.hits == hits_before + 1
+        assert served.pack is None
         assert not lint_compiled_design(served, mini_models.calibrated).errors
+        # The rebuild replaced the stale pack on disk.
+        reopened = load_compiled_design(path, expected_key=key)
+        assert not lint_compiled_design(reopened, mini_models.calibrated).errors
+
+
+class TestPackCompileCache:
+    def test_reopen_maps_the_pack(self, adder_circuit, mini_models, tmp_path):
+        cache = JsonCache(tmp_path)
+        first = compile_design(adder_circuit, mini_models, cache=cache)
+        reopened = compile_design(adder_circuit, mini_models, cache=cache)
+        key = design_cache_key(adder_circuit, mini_models)
+        assert list(tmp_path.glob("*.json")) == []
+        assert sorted(tmp_path.iterdir()) == [
+            tmp_path / f"{COMPILE_CACHE_KIND}_{key}.rpk"
+        ]
+        assert first.pack is None
+        assert isinstance(reopened.pack, PackFile)
+        assert reopened.cache_key == key
+        for name, array in design_arrays(reopened).items():
+            assert not array.flags.writeable, name
+            assert not array.flags.owndata, name
+        assert_same_design(compile_design(adder_circuit, mini_models), reopened)
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_damaged_pack_is_unlinked_counted_and_rebuilt(
+        self, adder_circuit, mini_models, tmp_path, monkeypatch, damage
+    ):
+        perf = PerfCounters()
+        cache = JsonCache(tmp_path, perf=perf)
+        compile_design(adder_circuit, mini_models, cache=cache)
+        path = cache.pack_path(
+            COMPILE_CACHE_KIND, design_cache_key(adder_circuit, mini_models)
+        )
+        blob = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del blob[-8:]
+        else:
+            blob[-1] ^= 0xFF  # the last byte is tensor payload
+        path.write_bytes(bytes(blob))
+
+        present_at_store = []
+        real_put = cache.put_pack
+
+        def spy(kind, key, write):
+            present_at_store.append(cache.pack_path(kind, key).exists())
+            return real_put(kind, key, write)
+
+        monkeypatch.setattr(cache, "put_pack", spy)
+        engine_perf = PerfCounters()
+        rebuilt = compile_design(
+            adder_circuit, mini_models, cache=cache, perf=engine_perf
+        )
+        assert (cache.corrupt, perf.cache_corrupt) == (1, 1)
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert present_at_store == [False]  # unlinked before the rebuild
+        assert engine_perf.sta_compiles == 1 and rebuilt.pack is None
+        reopened = compile_design(adder_circuit, mini_models, cache=cache)
+        assert reopened.pack is not None
+        assert_same_design(rebuilt, reopened)
+
+    def test_cache_pack_attaches_to_the_registry(
+        self, adder_circuit, mini_models, tmp_path
+    ):
+        from repro.serve.registry import DesignRegistry
+
+        registry = DesignRegistry()
+        key = registry.register("adder3", adder_circuit, mini_models)
+        cache = JsonCache(tmp_path)
+        compile_design(adder_circuit, mini_models, cache=cache)
+        assert registry.attach_pack(
+            "adder3", cache.pack_path(COMPILE_CACHE_KIND, key)
+        )
+        engine = registry.engine("adder3")
+        assert engine.design.pack is not None
+        assert registry.stats()["designs"][0]["mmap"] is True
 
 
 class TestDriftLint:

@@ -7,8 +7,9 @@ import gc
 import numpy as np
 import pytest
 
-from repro.cache import PackCache, version_salt
+from repro.cache import JsonCache, version_salt
 from repro.core.sta_compiled import (
+    COMPILE_CACHE_KIND,
     CompiledSTA,
     Scenario,
     compile_design,
@@ -268,56 +269,76 @@ class TestLibraryPack:
 
 
 class TestPackCache:
-    def test_miss_then_hit(self, tmp_path):
-        cache = PackCache(tmp_path)
-        assert cache.get("arc", "abc") is None
-        assert (cache.hits, cache.misses) == (0, 1)
-        cache.put("arc", "abc", sample_doc())
-        doc = cache.get("arc", "abc")
-        assert (cache.hits, cache.misses) == (1, 1)
-        pack = doc.pop("__pack__")
-        assert isinstance(pack, PackFile)
-        assert delist_document(doc) == delist_document(sample_doc())
+    """The compile cache: ``compile_design`` stores packs in a JsonCache dir."""
 
-    def test_paths_use_the_rpk_suffix(self, tmp_path):
-        cache = PackCache(tmp_path)
-        cache.put("arc", "abc", {"x": np.ones(2)})
-        assert cache.path("arc", "abc").suffix == ".rpk"
-        assert cache.path("arc", "abc").exists()
+    def test_miss_then_hit(self, adder_circuit, mini_models, tmp_path):
+        cache = JsonCache(tmp_path)
+        first = compile_design(adder_circuit, mini_models, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        second = compile_design(adder_circuit, mini_models, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert isinstance(second.pack, PackFile)
+        assert delist_document(second.to_dict()) == delist_document(
+            first.to_dict()
+        )
+
+    def test_paths_use_the_rpk_suffix(self, adder_circuit, mini_models, tmp_path):
+        cache = JsonCache(tmp_path)
+        design = compile_design(adder_circuit, mini_models, cache=cache)
+        path = cache.pack_path(COMPILE_CACHE_KIND, design.cache_key)
+        assert path.suffix == ".rpk"
+        assert path.name == f"{COMPILE_CACHE_KIND}_{design.cache_key}.rpk"
+        assert path.exists()
 
     def test_corrupt_pack_is_unlinked_miss(self, tmp_path):
         perf = PerfCounters()
-        cache = PackCache(tmp_path, perf=perf)
-        path = cache.put("arc", "k", sample_doc())
+        cache = JsonCache(tmp_path, perf=perf)
+        path = write_pack(cache.pack_path("arc", "k"), "arc", sample_doc())
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        assert cache.get("arc", "k") is None
-        assert cache.corrupt == 1
+        assert cache.get_pack("arc", "k", PackFile.open) is None
+        assert (cache.corrupt, cache.misses) == (1, 1)
         assert perf.cache_corrupt == 1
         assert not path.exists()
 
-    def test_put_strips_the_pack_handle(self, tmp_path):
-        cache = PackCache(tmp_path)
-        cache.put("arc", "a", sample_doc())
-        doc = cache.get("arc", "a")
-        cache.put("arc", "b", doc)  # carries "__pack__": must not recurse
-        again = cache.get("arc", "b")
-        again.pop("__pack__")
-        doc.pop("__pack__")
-        assert delist_document(again) == delist_document(doc)
+    def test_vanished_pack_is_a_plain_miss(self, tmp_path):
+        cache = JsonCache(tmp_path)
+        path = write_pack(cache.pack_path("arc", "k"), "arc", sample_doc())
 
-    def test_purge_removes_packs(self, tmp_path):
-        cache = PackCache(tmp_path)
-        cache.put("arc", "a", {"x": np.ones(2)})
-        cache.put("models", "b", {"x": np.ones(2)})
-        assert cache.purge("arc") == 1
+        def raced(p):
+            p.unlink()  # a concurrent purge between exists() and open
+            return PackFile.open(p)
+
+        assert cache.get_pack("arc", "k", raced) is None
+        assert (cache.corrupt, cache.misses) == (0, 1)
+        assert not path.exists()
+
+    def test_put_strips_the_pack_handle(self, adder_circuit, mini_models, tmp_path):
+        cache = JsonCache(tmp_path)
+        compile_design(adder_circuit, mini_models, cache=cache)
+        mapped = compile_design(adder_circuit, mini_models, cache=cache)
+        assert mapped.pack is not None
+        # Re-storing a mapped design writes its content, not the handle.
+        doc = mapped.to_dict()
+        assert "__pack__" not in doc and "pack" not in doc
+        again = tmp_path / "again.rpk"
+        pack_compiled_design(mapped, again, design_key=mapped.cache_key)
+        restored = load_compiled_design(again, expected_key=mapped.cache_key)
+        assert delist_document(restored.to_dict()) == delist_document(doc)
+
+    def test_purge_removes_packs(self, adder_circuit, mini_models, tmp_path):
+        cache = JsonCache(tmp_path)
+        compile_design(adder_circuit, mini_models, cache=cache)
+        write_pack(cache.pack_path("arc", "b"), "arc", {"x": np.ones(2)})
+        assert cache.purge(COMPILE_CACHE_KIND) == 1
         assert cache.purge() == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_compile_design_round_trips_through_pack_cache(
         self, adder_circuit, mini_models, tmp_path
     ):
-        cache = PackCache(tmp_path)
+        cache = JsonCache(tmp_path)
         first = compile_design(adder_circuit, mini_models, cache=cache)
         assert first.pack is None  # built fresh, then stored
         second = compile_design(adder_circuit, mini_models, cache=cache)

@@ -83,6 +83,30 @@ class TestResidency:
         assert len({id(e) for e in engines}) == 1
         assert perf.sta_serve_design_loads == 1
 
+    def test_register_and_first_query_flatten_once(
+        self, adder_circuit, mini_models, monkeypatch
+    ):
+        import repro.core.sta_compiled as sta_compiled
+        import repro.serve.registry as registry_module
+
+        calls = []
+        real = sta_compiled.flatten_parasitics
+
+        def counting(circuit, models):
+            calls.append(circuit.name)
+            return real(circuit, models)
+
+        monkeypatch.setattr(sta_compiled, "flatten_parasitics", counting)
+        monkeypatch.setattr(
+            registry_module, "flatten_parasitics", counting, raising=False
+        )
+        registry = DesignRegistry()
+        registry.register("adder3", adder_circuit, mini_models)
+        registry.engine("adder3")
+        assert calls == ["adder3"]
+        # The pass is not kept resident once the compile has used it.
+        assert registry._entries["adder3"].flat is None
+
     def test_stats_snapshot(self, adder_circuit, mini_models):
         registry = DesignRegistry()
         registry.register("adder3", adder_circuit, mini_models)

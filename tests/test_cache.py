@@ -189,5 +189,59 @@ class TestJsonCache:
         assert cache.purge() == 1
         assert cache.purge() == 0
 
+    def test_purge_removes_packs_too(self, tmp_path):
+        import numpy as np
+
+        from repro.pack import write_pack
+
+        cache = JsonCache(tmp_path)
+        cache.put("arc", "a", {})
+        cache.put("sta_compiled", "b", {})  # a JSON artifact of older versions
+        for kind, key in (("sta_compiled", "c"), ("sta_compiled", "d"), ("arc", "e")):
+            write_pack(cache.pack_path(kind, key), kind, {"x": np.ones(2)})
+        assert cache.purge("sta_compiled") == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["arc_a.json", "arc_e.rpk"]
+        assert cache.purge() == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_removes_pack_writer_orphans(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        import repro.pack as pack
+
+        cache = JsonCache(tmp_path)
+        path = cache.pack_path("sta_compiled", "k")
+
+        # A writer that dies between its temp write and the rename
+        # leaves the temp file behind.
+        def crash(src, dst):
+            raise OSError("writer crashed")
+
+        monkeypatch.setattr(pack.os, "replace", crash)
+        monkeypatch.setattr(pack.os, "unlink", lambda p: None)
+        with pytest.raises(OSError, match="writer crashed"):
+            pack.write_pack(path, "sta_compiled", {"x": np.ones(2)})
+        monkeypatch.undo()
+        orphans = list(tmp_path.glob("*.tmp"))
+        assert len(orphans) == 1 and orphans[0].name.startswith(path.name)
+        assert JsonCache(tmp_path).sweep_orphans() == 0  # swept on construction
+        assert list(tmp_path.iterdir()) == []
+
+    def test_put_pack_retries_a_swept_temp_file(self, tmp_path):
+        cache = JsonCache(tmp_path)
+        attempts = []
+
+        def write(path):
+            attempts.append(path)
+            if len(attempts) == 1:
+                raise FileNotFoundError("temp file swept before rename")
+            path.write_bytes(b"pack")
+            return path
+
+        assert cache.put_pack("sta_compiled", "k", write) == cache.pack_path(
+            "sta_compiled", "k"
+        )
+        assert len(attempts) == 2
+
     def test_purge_missing_dir(self, tmp_path):
         assert JsonCache(tmp_path / "never-created").purge() == 0
