@@ -443,9 +443,9 @@ def cmd_serve(args) -> int:
 def cmd_pack(args) -> int:
     """Compile circuits into mmap-able ``.rpk`` design packs."""
     from repro.cache import JsonCache
-    from repro.core.sta_compiled import compile_design
+    from repro.core.sta_compiled import COMPILE_CACHE_KIND, compile_design
     from repro.errors import ReproError
-    from repro.pack import pack_compiled_design, pack_library_characterization
+    from repro.pack import copy_pack, pack_library_characterization
 
     flow = _make_flow(args)
     out_dir = Path(args.output)
@@ -461,9 +461,10 @@ def cmd_pack(args) -> int:
                 return 2
             design = compile_design(circuit, models, cache=cache,
                                     perf=flow.perf)
-            path = out_dir / f"{circuit.name}.rpk"
-            pack_compiled_design(
-                design, path, design_key=design.cache_key, perf=flow.perf
+            # The compile cache already holds this design's pack.
+            path = copy_pack(
+                cache.pack_path(COMPILE_CACHE_KIND, design.cache_key),
+                out_dir / f"{circuit.name}.rpk",
             )
             print(f"Wrote {path} ({path.stat().st_size} bytes, "
                   f"{design.arcs.n_arcs} packed arc rows)")

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -258,6 +258,12 @@ class PathStage:
     wire_quantiles: Dict[int, float]
 
 
+def check_stage_correlation(correlation: float) -> None:
+    """Raise :class:`TimingError` unless ``0 <= correlation <= 1``."""
+    if not 0.0 <= correlation <= 1.0:
+        raise TimingError(f"correlation must be in [0, 1], got {correlation}")
+
+
 @dataclass
 class PathTiming:
     """Eq. (10) evaluation along one path."""
@@ -289,8 +295,7 @@ class PathTiming:
         share in quadrature. ``rho = 1`` recovers Eq. (10) exactly and
         ``rho = 0`` is the fully independent root-sum-square.
         """
-        if not 0.0 <= correlation <= 1.0:
-            raise TimingError(f"correlation must be in [0, 1], got {correlation}")
+        check_stage_correlation(correlation)
         base = self.total(0)
         if level == 0:
             return base
@@ -333,7 +338,7 @@ class STAResult:
     """Full-circuit analysis output."""
 
     circuit_name: str
-    arrival: Dict[str, float]
+    arrival: Mapping[str, float]
     critical_path: PathTiming
     runtime_s: float
 

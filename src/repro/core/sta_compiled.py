@@ -35,7 +35,9 @@ numpy sweeps per topological level:
   arrays are ``(n_scenarios, n_nets)``, and each level performs one
   gather → arc-tensor contraction → per-gate argmax → scatter cycle.
   Per-scenario critical paths are then traced back through the recorded
-  winning pins and priced stage-by-stage. ``tests/core/sta_oracle.py``
+  winning pins and priced together, in array passes over (scenario ×
+  stage): one arc-bank moment evaluation and one Table I sweep per
+  sigma level for every stage of the batch. ``tests/core/sta_oracle.py``
   re-derives every result with a dict-based scalar walker (scalar
   Eq. (2)/(3) and Table I, which share their formulas with the array
   code); ``tests/core/test_sta_compiled.py`` holds the engine to it
@@ -51,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -66,6 +69,7 @@ from repro.core.sta import (
     STAResult,
     TimingModels,
     WIRE_SLEW_FACTOR,
+    check_stage_correlation,
     flatten_parasitics,
 )
 from repro.errors import TimingError
@@ -117,6 +121,35 @@ class BatchSTAResult(STAResult):
 
     scenario: Scenario = field(default_factory=Scenario)
     correlated_quantiles: Dict[int, float] = field(default_factory=dict)
+
+
+class ArrivalView(Mapping):
+    """Read-only ``net → mean arrival`` over one row of a batch's arrivals.
+
+    Iterates in the design's net order and returns Python floats, so it
+    compares equal to the dict it stands for; no per-scenario dict is
+    built. The row it reads is a view of the batch array, which
+    :meth:`CompiledSTA.analyze_batch` makes non-writeable.
+    """
+
+    __slots__ = ("_names", "_index", "_row")
+
+    def __init__(self, names: List[str], index: Dict[str, int], row: np.ndarray):
+        self._names = names
+        self._index = index
+        self._row = row
+
+    def __getitem__(self, net: str) -> float:
+        return float(self._row[self._index[net]])
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 @dataclass
@@ -630,6 +663,33 @@ def _build_design(
 # ----------------------------------------------------------------------
 # Query
 # ----------------------------------------------------------------------
+def _correlated_totals(
+    terms: np.ndarray, zero: Optional[int], rho: np.ndarray
+) -> np.ndarray:
+    """``(level, scenario)`` correlated Eq. (10) quantiles of priced paths.
+
+    ``terms`` is ``(level, scenario, position)``: each stage's cell plus
+    wire quantile in path order, 0.0 past the path's end. ``zero`` is
+    the row of level 0 (``None`` when no scenario reports it, so every
+    base reads 0.0) and ``rho`` the per-scenario stage correlation. One
+    left-to-right pass over position keeps the float order of
+    :meth:`PathTiming.total` and :meth:`PathTiming.total_correlated`.
+    """
+    n_levels, n_scenarios, n_pos = terms.shape
+    zero_terms = terms[zero] if zero is not None else np.zeros((n_scenarios, n_pos))
+    base = np.zeros(n_scenarios)
+    linear = np.zeros((n_levels, n_scenarios))
+    quad = np.zeros((n_levels, n_scenarios))
+    for k in range(n_pos):
+        base += zero_terms[:, k]
+        dev = terms[:, :, k] - zero_terms[:, k]
+        linear += dev
+        quad += dev * dev
+    sign = np.where(linear >= 0, 1.0, -1.0)
+    # Level 0 deviates from itself by exactly 0.0, so its row is ``base``.
+    return base + sign * np.sqrt(rho * linear * linear + (1.0 - rho) * quad)
+
+
 class CompiledSTA:
     """Batch scenario queries over a compiled design.
 
@@ -670,6 +730,11 @@ class CompiledSTA:
             )
         self.design = design
         self._net_index = {name: i for i, name in enumerate(design.net_names)}
+        # Sample count of each bank row's reference moments (``Moments.n``
+        # of a priced stage); the bank itself carries coefficients only.
+        self._ref_n = [0] * design.arcs.n_arcs
+        for key, row in design.arcs.index.items():
+            self._ref_n[row] = models.calibrated.get(*key).ref.n
 
     # ------------------------------------------------------------------
     def analyze(
@@ -692,7 +757,10 @@ class CompiledSTA:
         Propagation state is ``(n_scenarios, n_nets)``; every topological
         level costs one gather → arc-tensor contraction → per-gate argmax
         → scatter cycle regardless of the batch width. Per-scenario
-        critical paths are then traced and priced.
+        critical paths are then traced and priced together, in array
+        passes over every stage of every path (:meth:`_price_paths`).
+        Each result's ``arrival`` is a read-only :class:`ArrivalView`
+        over its row of the batch's arrival array.
 
         Safe to call concurrently on a shared instance: all propagation
         state is per-call locals, and perf-counter updates go through
@@ -705,20 +773,24 @@ class CompiledSTA:
             t0 = time.perf_counter()
             arrival, slew, edge, winner = self._propagate(scenarios)
             # Critical endpoint per scenario: first maximum in net order.
-            totals = arrival + design.end_elmore[None, :]
-            end_idx = np.argmax(totals, axis=1)
-            results = []
-            for s, scenario in enumerate(scenarios):
-                results.append(
-                    self._scenario_result(
-                        scenario,
-                        int(end_idx[s]),
-                        arrival[s],
-                        slew[s],
-                        edge[s],
-                        winner[s],
-                    )
+            end_idx = np.argmax(arrival + design.end_elmore[None, :], axis=1)
+            chains = [
+                self._trace_path(design.net_names[end], winner[s])
+                for s, end in enumerate(end_idx.tolist())
+            ]
+            paths, correlated = self._price_paths(scenarios, chains, slew, edge)
+            arrival.flags.writeable = False
+            results = [
+                BatchSTAResult(
+                    circuit_name=design.circuit_name,
+                    arrival=ArrivalView(design.net_names, self._net_index, arrival[s]),
+                    critical_path=paths[s],
+                    runtime_s=0.0,
+                    scenario=scenario,
+                    correlated_quantiles=correlated[s],
                 )
+                for s, scenario in enumerate(scenarios)
+            ]
             wall = time.perf_counter() - t0
             self.perf.incr(sta_scenarios=len(scenarios))
         for result in results:
@@ -790,107 +862,147 @@ class CompiledSTA:
         chain.reverse()
         return chain
 
-    def _scenario_result(
+    def _price_paths(
         self,
-        scenario: Scenario,
-        end_idx: int,
-        arrival: np.ndarray,
+        scenarios: Sequence[Scenario],
+        chains: List[List[Tuple[str, str, str]]],
         slew: np.ndarray,
         edge: np.ndarray,
-        winner: np.ndarray,
-    ) -> BatchSTAResult:
-        design = self.design
-        levels = tuple(scenario.levels)
-        chain = self._trace_path(design.net_names[end_idx], winner)
-        timing = self._path_timing(scenario, chain, slew, edge, levels)
-        rho = (
-            scenario.stage_correlation
-            if scenario.stage_correlation is not None
-            else self.models.stage_correlation
-        )
-        return BatchSTAResult(
-            circuit_name=design.circuit_name,
-            arrival=dict(zip(design.net_names, arrival.tolist())),
-            critical_path=timing,
-            runtime_s=0.0,
-            scenario=scenario,
-            correlated_quantiles={
-                n: timing.total_correlated(n, rho) for n in levels
-            },
-        )
+    ) -> Tuple[List[PathTiming], List[Dict[int, float]]]:
+        """Price every traced path (Eq. 10) in array passes over all stages.
 
-    def _path_timing(
-        self,
-        scenario: Scenario,
-        chain: List[Tuple[str, str, str]],
-        slew: np.ndarray,
-        edge: np.ndarray,
-        levels: Tuple[int, ...],
-    ) -> PathTiming:
-        """Price the traced path stage by stage (Eq. 10).
-
-        A launch stage (the primary-input wire into the first gate)
-        precedes the cell stages. Cell moments come from the scalar
-        :class:`ArcCalibration` objects (the path holds tens of stages);
-        the Table I pricing is vectorized across stages below.
+        The batch's stages are flattened in path order: stage ``m`` of
+        scenario ``scn[m]`` sits at path position ``pos[m]``, where 0 is
+        the launch stage (the primary-input wire into the first gate)
+        and the cell stages follow. One :meth:`ArcTensorBank.moments_at`
+        call prices every cell stage, then one Table I sweep per sigma
+        level of the batch. The Eq. (10) sums run as one pass over path
+        position on ``(level, scenario, position)`` terms that read 0.0
+        past a path's end and at a level its scenario does not report:
+        the float order and the ``.get(level, 0.0)`` default of
+        :meth:`PathTiming.total` and :meth:`PathTiming.total_correlated`.
         """
         design = self.design
         gates = self.circuit.gates
+        net_index = self._net_index
+        levels_of = [tuple(sc.levels) for sc in scenarios]
+        rhos = [
+            self.models.stage_correlation
+            if sc.stage_correlation is None
+            else sc.stage_correlation
+            for sc in scenarios
+        ]
+        for levels, rho in zip(levels_of, rhos):
+            if levels:
+                check_stage_correlation(rho)
 
-        def stage(net: str, sink: Tuple[str, str], **fields) -> PathStage:
-            elm = design.sink_elmore[(net, *sink)]
-            xw = design.sink_xw[(net, *sink)]
-            return PathStage(
-                net=net,
-                sink=sink,
-                wire_elmore=elm,
-                wire_xw=xw,
-                wire_quantiles={n: (1.0 + n * xw) * elm for n in levels},
-                **fields,
-            )
-
-        def load(net: str) -> float:
-            return float(design.net_load[self._net_index[net]])
-
-        stages: List[PathStage] = []
-        if chain:
+        scn: List[int] = []
+        pos: List[int] = []
+        nets: List[str] = []  # the net each stage drives
+        sinks: List[Tuple[str, str]] = []
+        info: List[Tuple[str, str, str]] = []  # (gate, cell, input pin)
+        cell_arc: List[Tuple[str, str]] = []  # (cell, input pin)
+        cell_in: List[int] = []
+        cell_elm: List[float] = []
+        for s, chain in enumerate(chains):
+            if not chain:
+                continue
             first_gate, first_pin, _ = chain[0]
-            launch = gates[first_gate].pins[first_pin]
-            stages.append(stage(
-                launch, (first_gate, first_pin), gate="", cell_name="",
-                input_pin="", output_rising=scenario.launch_rising,
-                input_slew=scenario.input_slew, load=load(launch),
-                cell_moments=None, cell_quantiles={n: 0.0 for n in levels},
-            ))
-        moments: List[Moments] = []
-        for k, (gate_name, pin, out_net) in enumerate(chain):
-            gate = gates[gate_name]
-            in_net = gate.pins[pin]
-            slew_pin = float(np.hypot(
-                slew[self._net_index[in_net]],
-                WIRE_SLEW_FACTOR * design.sink_elmore[(in_net, gate_name, pin)],
-            ))
-            out_edge = bool(edge[self._net_index[out_net]])
-            arc = self.models.calibrated.get(gate.cell_name, pin, out_edge)
-            moments.append(arc.moments_at(slew_pin, load(out_net)))
-            sink = chain[k + 1][:2] if k + 1 < len(chain) else PRIMARY_OUTPUT
-            stages.append(stage(
-                out_net, sink, gate=gate_name, cell_name=gate.cell_name,
-                input_pin=pin, output_rising=out_edge, input_slew=slew_pin,
-                load=load(out_net), cell_moments=moments[-1],
-                cell_quantiles={},  # filled by the vectorized sweep below
-            ))
+            scn.append(s)
+            pos.append(0)
+            nets.append(gates[first_gate].pins[first_pin])
+            sinks.append((first_gate, first_pin))
+            info.append(("", "", ""))
+            for k, (gate_name, pin, out_net) in enumerate(chain, start=1):
+                gate = gates[gate_name]
+                in_net = gate.pins[pin]
+                scn.append(s)
+                pos.append(k)
+                nets.append(out_net)
+                sinks.append(chain[k][:2] if k < len(chain) else PRIMARY_OUTPUT)
+                info.append((gate_name, gate.cell_name, pin))
+                cell_arc.append((gate.cell_name, pin))
+                cell_in.append(net_index[in_net])
+                cell_elm.append(design.sink_elmore[(in_net, gate_name, pin)])
 
-        # Price all cell stages at once (Table I, vectorized over stages).
-        if moments:
-            mu, sg, sk, ku = (
-                np.array(column)
-                for column in zip(*((m.mu, m.sigma, m.skew, m.kurt) for m in moments))
+        scn_a = np.asarray(scn, dtype=np.intp)
+        pos_a = np.asarray(pos, dtype=np.intp)
+        net_a = np.asarray([net_index[n] for n in nets], dtype=np.intp)
+        is_cell = pos_a > 0
+        cell_scn, cell_out = scn_a[is_cell], net_a[is_cell]
+        rising = edge[cell_scn, cell_out].tolist()
+        rows = np.asarray(
+            [design.arcs.index[(*arc, r)] for arc, r in zip(cell_arc, rising)],
+            dtype=np.intp,
+        )
+        in_slew = np.hypot(
+            slew[cell_scn, np.asarray(cell_in, dtype=np.intp)],
+            WIRE_SLEW_FACTOR * np.asarray(cell_elm, dtype=float),
+        )
+        load = design.net_load[net_a]
+        moments = design.arcs.moments_at(rows, in_slew, load[is_cell])
+        wire_keys = [(net, *sink) for net, sink in zip(nets, sinks)]
+        elm = np.asarray([design.sink_elmore[k] for k in wire_keys], dtype=float)
+        xw = np.asarray([design.sink_xw[k] for k in wire_keys], dtype=float)
+
+        # Per-level stage quantiles; the launch stage's cell term is 0.0.
+        union = list(dict.fromkeys(n for levels in levels_of for n in levels))
+        cell_q: Dict[int, np.ndarray] = {}
+        wire_q: Dict[int, np.ndarray] = {}
+        n_pos = max((len(chain) + 1 for chain in chains if chain), default=0)
+        terms = np.zeros((len(union), len(scenarios), n_pos))
+        for i, n in enumerate(union):
+            cell_q[n] = np.zeros(len(scn))
+            cell_q[n][is_cell] = self.models.nsigma.quantile_array(*moments, n)
+            wire_q[n] = (1.0 + n * xw) * elm
+            reported = np.asarray([n in levels for levels in levels_of])
+            terms[i, scn_a, pos_a] = np.where(
+                reported[scn_a], cell_q[n] + wire_q[n], 0.0
             )
-            per_level = {
-                n: self.models.nsigma.quantile_array(mu, sg, sk, ku, n).tolist()
-                for n in levels
-            }
-            for j, cell_stage in enumerate(stages[len(stages) - len(moments):]):
-                cell_stage.cell_quantiles = {n: per_level[n][j] for n in levels}
-        return PathTiming(stages=stages, levels=levels)
+
+        correlated = _correlated_totals(
+            terms,
+            union.index(0) if 0 in union else None,
+            np.asarray(rhos, dtype=float),
+        )
+
+        # Report objects from the flat lists.
+        stages_of: List[List[PathStage]] = [[] for _ in scenarios]
+        mu, sigma, skew, kurt = (column.tolist() for column in moments)
+        rows_l, in_slew_l, load_l = rows.tolist(), in_slew.tolist(), load.tolist()
+        elm_l, xw_l = elm.tolist(), xw.tolist()
+        cell_l = {n: q.tolist() for n, q in cell_q.items()}
+        wire_l = {n: q.tolist() for n, q in wire_q.items()}
+        c = -1
+        for m, s in enumerate(scn):
+            levels = levels_of[s]
+            gate_name, cell_name, pin = info[m]
+            if cell_name:
+                c += 1
+                out_rising, stage_slew = rising[c], in_slew_l[c]
+                cell_moments: Optional[Moments] = Moments(
+                    mu[c], sigma[c], skew[c], kurt[c], n=self._ref_n[rows_l[c]]
+                )
+            else:
+                out_rising = scenarios[s].launch_rising
+                stage_slew = scenarios[s].input_slew
+                cell_moments = None
+            stages_of[s].append(PathStage(
+                gate=gate_name, cell_name=cell_name, input_pin=pin,
+                output_rising=out_rising, net=nets[m], sink=sinks[m],
+                input_slew=stage_slew, load=load_l[m], cell_moments=cell_moments,
+                cell_quantiles={n: cell_l[n][m] for n in levels},
+                wire_elmore=elm_l[m], wire_xw=xw_l[m],
+                wire_quantiles={n: wire_l[n][m] for n in levels},
+            ))
+        row_of = {n: row for n, row in zip(union, correlated.tolist())}
+        return (
+            [
+                PathTiming(stages=stages, levels=levels)
+                for stages, levels in zip(stages_of, levels_of)
+            ],
+            [
+                {n: row_of[n][s] for n in levels}
+                for s, levels in enumerate(levels_of)
+            ],
+        )

@@ -61,10 +61,11 @@ import hashlib
 import json
 import mmap
 import os
+import shutil
 import struct
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -168,6 +169,24 @@ def _extract_segments(
     return walk(doc, ""), segments
 
 
+def _write_atomic(path: Path, fill: Callable[[BinaryIO], None]) -> None:
+    """Write ``path`` through ``fill``: unique ``*.tmp`` sibling, fsync, rename."""
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f"{path.name}.{os.getpid()}.", suffix=".tmp", dir=str(path.parent)
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fill(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_name, path)
+    finally:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+
+
 def write_pack(
     path: Union[str, Path],
     kind: str,
@@ -229,28 +248,18 @@ def write_pack(
         hashlib.sha256(manifest_bytes).digest()[:16],
     )
 
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f"{path.name}.{os.getpid()}.", suffix=".tmp", dir=str(path.parent)
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(manifest_bytes)
-            fh.write(b"\0" * (data_off - HEADER_SIZE - len(manifest_bytes)))
-            for record, blob in zip(records, blobs):
-                fh.seek(data_off + record["offset"])
-                fh.write(blob)
-            # A trailing zero-length (or align-padded) segment seeks past
-            # EOF without writing; pin the file to its recorded length.
-            fh.truncate(file_len)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-    finally:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+    def fill(fh: BinaryIO) -> None:
+        fh.write(header)
+        fh.write(manifest_bytes)
+        fh.write(b"\0" * (data_off - HEADER_SIZE - len(manifest_bytes)))
+        for record, blob in zip(records, blobs):
+            fh.seek(data_off + record["offset"])
+            fh.write(blob)
+        # A trailing zero-length (or align-padded) segment seeks past
+        # EOF without writing; pin the file to its recorded length.
+        fh.truncate(file_len)
+
+    _write_atomic(path, fill)
 
     if perf is not None:
         perf.incr(pack_writes=1)
@@ -262,6 +271,20 @@ def write_pack(
             nbytes=file_len,
             n_segments=len(records),
         )
+    return path
+
+
+def copy_pack(source: Union[str, Path], path: Union[str, Path]) -> Path:
+    """Copy the pack file ``source`` to ``path`` byte for byte.
+
+    The copy is the same artifact (same :meth:`PackFile.identity`) and
+    lands as atomically as :func:`write_pack` writes, without encoding
+    anything again; it is not counted in ``pack_writes``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(source, "rb") as src:
+        _write_atomic(path, lambda fh: shutil.copyfileobj(src, fh))
     return path
 
 

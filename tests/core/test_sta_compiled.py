@@ -267,10 +267,14 @@ class TestBatchSemantics:
         circuit = adder_circuit if which == "adder" else build_mini_circuit(19, tech=tech)
         engine = CompiledSTA(circuit, mini_models)
         result = engine.analyze_batch([Scenario(input_slew=35 * PS)])[0]
+        # A read-only view over the batch's arrival row, not a dict copy.
+        with pytest.raises(TypeError):
+            result.arrival[engine.design.net_names[0]] = 0.0
         assert list(result.arrival) == engine.design.net_names
         assert all(type(value) is float for value in result.arrival.values())
         expected = oracle_analyze(circuit, mini_models, input_slew=35 * PS)
         assert result.arrival == expected.arrival
+        assert expected.arrival == result.arrival
 
     def test_design_shape(self, compiled_adder, adder_circuit):
         design = compiled_adder.design
@@ -278,6 +282,125 @@ class TestBatchSemantics:
         assert design.n_nets == adder_circuit.n_nets
         assert design.n_levels >= adder_circuit.logic_depth()
         assert sum(level.n_arcs for level in design.levels) == design.n_arcs
+
+
+#: Sigma-level tuples of the mixed batches: every level, one level,
+#: a subset without 0 and an unordered one.
+MIXED_LEVELS = (SIGMA_LEVELS, (0,), (3,), (3, -3), (3, 0, -3))
+MIXED_RHOS = (None, 0.0, 0.4, 1.0)
+#: Primary-input slews (ps), inside and outside the characterized range.
+MIXED_SLEWS_PS = (2.0, 20.0, 240.0, 900.0)
+
+
+def mixed_batch(n: int = 20):
+    """``n`` scenarios cycling every level set, correlation, edge and slew."""
+    return [
+        Scenario(
+            input_slew=MIXED_SLEWS_PS[(i // len(MIXED_LEVELS)) % len(MIXED_SLEWS_PS)] * PS,
+            launch_rising=i % 2 == 0,
+            levels=MIXED_LEVELS[i % len(MIXED_LEVELS)],
+            stage_correlation=MIXED_RHOS[(i // 2) % len(MIXED_RHOS)],
+        )
+        for i in range(n)
+    ]
+
+
+def ordered(mapping):
+    """A mapping's items in iteration order (dict ``==`` ignores order)."""
+    return list(mapping.items())
+
+
+class TestBatchPricing:
+    """A batch prices all its paths in array passes, exactly as one by one."""
+
+    def test_no_scalar_moments_on_the_batch_path(
+        self, adder_circuit, mini_models, compiled_adder, monkeypatch
+    ):
+        from repro.core.calibration import ArcCalibration
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("scalar ArcCalibration.moments_at called")
+
+        scenarios = mixed_batch(6)
+        monkeypatch.setattr(ArcCalibration, "moments_at", scalar)
+        results = compiled_adder.analyze_batch(scenarios)
+        monkeypatch.undo()
+        for scenario, result in zip(scenarios, results):
+            expected = oracle_analyze(
+                adder_circuit, mini_models, input_slew=scenario.input_slew,
+                launch_rising=scenario.launch_rising, levels=scenario.levels,
+            )
+            assert_equivalent(expected, result)
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_bank_moments_once_per_batch(self, compiled_adder, monkeypatch, width):
+        from repro.core.calibration import ArcTensorBank
+
+        calls = []
+        real = ArcTensorBank.moments_at
+
+        def counting(bank, rows, slew, load):
+            calls.append(np.shape(rows))
+            return real(bank, rows, slew, load)
+
+        monkeypatch.setattr(ArcTensorBank, "moments_at", counting)
+        results = compiled_adder.analyze_batch(mixed_batch(width))
+        n_cells = sum(r.critical_path.n_cells for r in results)
+        assert calls == [(n_cells,)]
+
+    @pytest.mark.parametrize("which", ["adder", "random"])
+    def test_mixed_batch_equals_single_runs_and_oracle(
+        self, which, adder_circuit, mini_models, tech
+    ):
+        circuit = adder_circuit if which == "adder" else build_mini_circuit(31, tech=tech)
+        engine = CompiledSTA(circuit, mini_models)
+        scenarios = mixed_batch(20)
+        for scenario, result in zip(scenarios, engine.analyze_batch(scenarios)):
+            alone = engine.analyze_batch([scenario])[0]
+            assert result.scenario == alone.scenario == scenario
+            assert result.arrival == alone.arrival
+            assert result.critical_path == alone.critical_path
+            assert ordered(result.correlated_quantiles) == ordered(
+                alone.correlated_quantiles
+            )
+            if scenario.stage_correlation is None:
+                single = engine.analyze(
+                    scenario.input_slew, scenario.launch_rising, scenario.levels
+                )
+                assert single.critical_path == result.critical_path
+                assert ordered(single.correlated_quantiles) == ordered(
+                    result.correlated_quantiles
+                )
+
+            expected = oracle_analyze(
+                circuit, mini_models, input_slew=scenario.input_slew,
+                launch_rising=scenario.launch_rising, levels=scenario.levels,
+            )
+            assert_equivalent(expected, result)
+            path, want = result.critical_path, expected.critical_path
+            for got_stage, want_stage in zip(path.stages, want.stages):
+                assert ordered(got_stage.cell_quantiles) == ordered(
+                    want_stage.cell_quantiles
+                )
+                assert ordered(got_stage.wire_quantiles) == ordered(
+                    want_stage.wire_quantiles
+                )
+            assert ordered(path.quantiles) == ordered(want.quantiles)
+            rho = (
+                mini_models.stage_correlation
+                if scenario.stage_correlation is None
+                else scenario.stage_correlation
+            )
+            assert ordered(result.correlated_quantiles) == [
+                (n, want.total_correlated(n, rho)) for n in scenario.levels
+            ]
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1])
+    def test_out_of_range_correlation_raises(self, compiled_adder, bad):
+        scenarios = mixed_batch(12)
+        scenarios[7] = Scenario(stage_correlation=bad)
+        with pytest.raises(TimingError, match="correlation"):
+            compiled_adder.analyze_batch(scenarios)
 
 
 class TestCompileCache:

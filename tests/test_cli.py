@@ -241,6 +241,44 @@ class TestPackEndToEnd:
         attach_parasitics(circuit, mini_models.tech, seed=1)  # --parasitic-seed
         assert recorded == sta_compiled.design_cache_key(circuit, mini_models)
 
+    def test_cold_pack_encodes_each_design_once(self, tmp_path, capsys, mini_models):
+        import shutil
+
+        from repro.core.sta_compiled import COMPILE_CACHE_KIND
+        from repro.pack import PackFile
+        from tests.conftest import CACHE_DIR
+
+        # The session's fitted models, without any compiled design.
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(
+            CACHE_DIR, cache_dir,
+            ignore=shutil.ignore_patterns(f"{COMPILE_CACHE_KIND}_*"),
+        )
+        flow_args = _mini_flow_cli_args()
+        flow_args[flow_args.index("--cache-dir") + 1] = str(cache_dir)
+        packs = tmp_path / "packs"
+        code = main(
+            ["pack", "ADD", "SUB", "--width", "2", "-o", str(packs), "--perf"]
+            + flow_args
+        )
+        assert code == 0
+        assert "packs: 2 written" in capsys.readouterr().out
+
+        def identities(paths):
+            found = {}
+            for path in paths:
+                pack = PackFile.open(path, verify=True)
+                try:
+                    found[pack.meta["circuit_name"]] = pack.identity()
+                finally:
+                    pack.close()
+            return found
+
+        cached = identities(cache_dir.glob(f"{COMPILE_CACHE_KIND}_*.rpk"))
+        written = identities(packs.glob("*.rpk"))
+        assert set(written) == {"pulpino_add", "pulpino_sub"}
+        assert written == cached
+
     def test_pack_writes_library_bundle(self, tmp_path, capsys, mini_charac):
         packs = tmp_path / "packs"
         code = main(
