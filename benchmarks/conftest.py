@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.flow import DelayCalibrationFlow
@@ -93,11 +96,47 @@ def golden_engine(flow) -> MonteCarloEngine:
     return MonteCarloEngine(flow.tech, flow.variation, seed=777)
 
 
+def host_info() -> dict:
+    """The host a result was measured on.
+
+    CPU count, the kernel backend the environment resolves to, numpy and
+    Python versions and the git commit (``unknown`` outside a checkout;
+    ``git_dirty`` flags uncommitted changes), so a 1-core result is
+    never read as a scaling claim and every number names its code.
+    """
+    from repro.kernels import backend_identity
+
+    def git(*args: str) -> str:
+        try:
+            proc = subprocess.run(
+                ["git", *args], cwd=BENCH_DIR, capture_output=True, text=True,
+                timeout=10,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return ""
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+
+    sha = git("rev-parse", "HEAD")
+    return {
+        "cpu_count": os.cpu_count(),
+        "kernel": backend_identity(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "git_sha": sha or "unknown",
+        "git_dirty": bool(sha) and bool(git("status", "--porcelain", "--untracked-files=no")),
+    }
+
+
 def record_result(name: str, payload: dict) -> None:
-    """Persist a benchmark's reproduced table/figure as JSON."""
+    """Persist a benchmark's reproduced table/figure as JSON.
+
+    The file gets a reserved ``_host`` key (:func:`host_info`) next to
+    the payload's own keys, which are written unchanged.
+    """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    doc = {**payload, "_host": host_info()}
     with (RESULTS_DIR / f"{name}.json").open("w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(doc, fh, indent=2)
 
 
 @pytest.fixture()

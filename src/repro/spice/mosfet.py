@@ -24,8 +24,9 @@ terminal voltages; see :class:`repro.spice.netlist.Mosfet` for the sign
 bookkeeping, which works out so that the conductance derivatives carry
 over *unchanged*.
 
-All functions accept and return NumPy arrays and broadcast freely, so a
-single call evaluates every Monte-Carlo sample of a device at once.
+All functions accept and return NumPy arrays and evaluate elementwise,
+so a single call evaluates every Monte-Carlo sample of every device of a
+circuit at once: the solver passes ``(devices, samples)`` arrays.
 """
 
 from __future__ import annotations
@@ -61,8 +62,10 @@ def _interp_f(x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 class MosfetParams:
     """Electrical parameters of one device evaluation.
 
-    ``vt``, ``ispec`` may be arrays (one entry per Monte-Carlo sample);
-    the scalars ``n_slope``, ``phi_t``, ``dibl``, ``lam`` are shared.
+    ``vt``, ``ispec`` may be arrays: one entry per Monte-Carlo sample,
+    or ``(devices, samples)`` for every device of a circuit (see
+    :meth:`repro.spice.netlist.CompiledCircuit.bind_sample`); the
+    scalars ``n_slope``, ``phi_t``, ``dibl``, ``lam`` are shared.
 
     Attributes
     ----------
@@ -93,12 +96,14 @@ class MosfetParams:
         """Restrict per-sample parameter arrays to the given sample rows.
 
         Used by the convergence-masked Newton kernel to evaluate the
-        device model only for still-unconverged Monte-Carlo samples.
+        device model only for still-unconverged Monte-Carlo samples. The
+        sample axis is the last one, so on stacked ``(devices, samples)``
+        arrays this is one gather per parameter.
         Scalar parameters pass through unchanged.
         """
         return MosfetParams(
-            vt=self.vt[rows] if np.ndim(self.vt) else self.vt,
-            ispec=self.ispec[rows] if np.ndim(self.ispec) else self.ispec,
+            vt=np.take(self.vt, rows, axis=-1) if np.ndim(self.vt) else self.vt,
+            ispec=np.take(self.ispec, rows, axis=-1) if np.ndim(self.ispec) else self.ispec,
             n_slope=self.n_slope,
             phi_t=self.phi_t,
             dibl=self.dibl,
@@ -109,8 +114,8 @@ class MosfetParams:
     def from_technology(
         cls,
         tech: Technology,
-        is_pmos: bool,
-        width: float,
+        is_pmos,
+        width,
         dvth: np.ndarray,
         mobility_scale: np.ndarray,
         length_scale: np.ndarray,
@@ -123,15 +128,17 @@ class MosfetParams:
             Nominal process constants.
         is_pmos:
             Device polarity; selects ``vt0_p``/``kp_p`` vs ``vt0_n``/``kp_n``.
+            A ``(n_devices, 1)`` boolean column builds stacked parameters.
         width:
-            Drawn width in meters.
+            Drawn width in meters (``(n_devices, 1)`` when stacked).
         dvth, mobility_scale, length_scale:
-            Per-sample deviations from :class:`~repro.variation.sampling.ParameterSample`
-            (a slice of shape ``(n_samples,)`` for this device).
+            Per-sample deviations from :class:`~repro.variation.sampling.ParameterSample`:
+            ``(n_samples,)`` for one device, ``(n_devices, n_samples)``
+            when stacked.
         """
         phi_t = thermal_voltage(tech.temperature_c)
-        vt0 = tech.vt0_p if is_pmos else tech.vt0_n
-        kp = tech.kp_p if is_pmos else tech.kp_n
+        vt0 = np.where(is_pmos, tech.vt0_p, tech.vt0_n)
+        kp = np.where(is_pmos, tech.kp_p, tech.kp_n)
         n = tech.subthreshold_slope_factor
         w_over_l = width / (tech.l_min * np.asarray(length_scale, dtype=float))
         ispec = 2.0 * n * kp * w_over_l * phi_t**2 * np.asarray(mobility_scale, dtype=float)

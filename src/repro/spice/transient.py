@@ -192,9 +192,14 @@ class TransientSolver:
         self.damp = damp
         self.masked = masked
         self.perf = perf
-        self._gmat, self._known_pulls, self._cvec = compiled.build_linear(
+        self._gmat, pulls, self._cvec = compiled.build_linear(
             r_scale, c_scale, dev_cap_scale
         )
+        # Resistor pulls read their fixed node from the per-step
+        # fixed-voltage array (see CompiledCircuit.fixed_voltages).
+        self._known_pulls = [
+            (i, g, compiled.fixed_index[node]) for i, g, node in pulls
+        ]
         # Pre-allocated Jacobian stack, reused by every Newton iteration
         # of every time step (the reference kernel used to allocate one
         # (S, n, n) array per step).
@@ -216,26 +221,27 @@ class TransientSolver:
 
     # ------------------------------------------------------------------
     def _linear_currents(
-        self, v: np.ndarray, t: float, rows: Optional[np.ndarray] = None
+        self, v: np.ndarray, vfix: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Linear (resistor) currents for the given state rows.
 
-        ``rows`` restricts per-sample stamps and per-sample fixed-node
-        sources to a subset of Monte-Carlo samples (``v`` already covers
-        only those rows).
+        ``vfix`` holds the step's fixed-node voltages
+        (:meth:`CompiledCircuit.fixed_voltages`, full batch). ``rows``
+        restricts per-sample stamps and per-sample fixed-node voltages
+        to a subset of Monte-Carlo samples (``v`` already covers only
+        those rows).
         """
         if self._gmat.ndim == 2:
             out = v @ self._gmat.T
         else:
             gmat = self._gmat if rows is None else self._gmat[rows]
             out = np.einsum("snm,sm->sn", gmat, v)
-        for i, g, node in self._known_pulls:
+        if rows is not None and vfix.ndim == 2:
+            vfix = vfix[rows]
+        for i, g, k in self._known_pulls:
             if rows is not None and np.ndim(g):
                 g = g[rows]
-            known = self.compiled.known_voltage(node, t)
-            if rows is not None and isinstance(known, np.ndarray) and known.ndim:
-                known = known[rows]
-            out[:, i] -= g * known
+            out[:, i] -= g * vfix[..., k]
         return out
 
     # ------------------------------------------------------------------
@@ -286,20 +292,23 @@ class TransientSolver:
         v_prev: np.ndarray,
         t_new: float,
         dt: float,
+        vfix: np.ndarray,
         v_guess: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """One backward-Euler step from ``v_prev`` to time ``t_new``.
 
+        ``vfix`` is ``compiled.fixed_voltages(t_new)``, evaluated once
+        by the caller and shared by every Newton iteration of the step.
         ``v_guess`` is an optional predicted state used by the masked
         kernel as the Newton starting point; the reference kernel
         ignores it (it always starts from ``v_prev``, like the
         pre-optimization solver).
         """
         if self._fast_linear:
-            return self._step_fast(v_prev, t_new, dt)
+            return self._step_fast(v_prev, t_new, dt, vfix)
         if self.masked:
-            return self._step_masked(v_prev, t_new, dt, v_guess)
-        return self._step_reference(v_prev, t_new, dt)
+            return self._step_masked(v_prev, t_new, dt, vfix, v_guess)
+        return self._step_reference(v_prev, t_new, dt, vfix)
 
     def _fast_factorization(self, dt: float, c_over_dt: np.ndarray):
         """Per-``dt`` cached factorization of the linear step matrix."""
@@ -315,13 +324,15 @@ class TransientSolver:
         """Solve the shared (n, n) system against an (S, n) right-hand side."""
         return self.kernel.fast_solve(factor, rhs)
 
-    def _step_fast(self, v_prev: np.ndarray, t_new: float, dt: float) -> np.ndarray:
+    def _step_fast(
+        self, v_prev: np.ndarray, t_new: float, dt: float, vfix: np.ndarray
+    ) -> np.ndarray:
         """Linear-circuit step: one shared factorization, all samples at once."""
         c_over_dt = self._cvec / dt
         factor = self._fast_factorization(dt, c_over_dt)
         v = v_prev.copy()
         for _ in range(self.max_newton):
-            resid = (v - v_prev) * c_over_dt + self._linear_currents(v, t_new)
+            resid = (v - v_prev) * c_over_dt + self._linear_currents(v, vfix)
             delta = self._fast_solve(factor, -resid)
             np.clip(delta, -self.damp, self.damp, out=delta)
             v += delta
@@ -347,6 +358,7 @@ class TransientSolver:
         v_prev: np.ndarray,
         t_new: float,
         dt: float,
+        vfix: np.ndarray,
         v_guess: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Newton step that re-solves only the still-unconverged samples.
@@ -368,9 +380,11 @@ class TransientSolver:
         accelerated backends can swap the inner primitives (or override
         the whole step) without touching solver logic.
         """
-        return self.kernel.step_masked(self, v_prev, t_new, dt, v_guess)
+        return self.kernel.step_masked(self, v_prev, t_new, dt, vfix, v_guess)
 
-    def _step_reference(self, v_prev: np.ndarray, t_new: float, dt: float) -> np.ndarray:
+    def _step_reference(
+        self, v_prev: np.ndarray, t_new: float, dt: float, vfix: np.ndarray
+    ) -> np.ndarray:
         """Reference kernel: every sample iterates until the batch converges.
 
         Numerically this is the original (pre-masking) solver; it shares
@@ -382,8 +396,8 @@ class TransientSolver:
         jac = self._jac_buf
         for _ in range(self.max_newton):
             jac[:] = self._gmat  # broadcasts (n,n) or copies (S,n,n)
-            dev = self.compiled.device_currents(v, t_new, self.params, jac=jac)
-            resid = (v - v_prev) * c_over_dt + self._linear_currents(v, t_new) + dev
+            dev = self.compiled.device_currents(v, vfix, self.params, jac=jac)
+            resid = (v - v_prev) * c_over_dt + self._linear_currents(v, vfix) + dev
             jac[:, self._diag_idx, self._diag_idx] += c_over_dt
             try:
                 delta = np.linalg.solve(jac, -resid[..., None])[..., 0]
@@ -421,8 +435,9 @@ class TransientSolver:
         in :attr:`perf` when counters are attached.
         """
         v = np.array(v0, dtype=float, copy=True)
+        vfix = self.compiled.fixed_voltages(t)
         for _ in range(steps):
-            v_new = self._step(v, t, dt)
+            v_new = self._step(v, t, dt, vfix)
             if self.perf is not None:
                 self.perf.incr(dc_steps=1)
             if np.max(np.abs(v_new - v)) < self.dv_tol:
@@ -472,7 +487,7 @@ class TransientSolver:
         # contiguous row instead of a strided column scatter; the result
         # keeps that layout and transposes lazily only when asked.
         waves_t = {name: np.empty((n_steps + 1, self.n_samples)) for name in record}
-        self._record_into(waves_t, 0, v, t_start)
+        self._record_into(waves_t, 0, v, self.compiled.fixed_voltages(t_start))
         # Trailing states feed the masked kernel's Newton predictor:
         # quadratic extrapolation once two back-states exist, linear with
         # one, none on the first step. The predictor only moves the
@@ -486,21 +501,23 @@ class TransientSolver:
                 guess = 2.0 * v - v1
             else:
                 guess = None
-            v_new = self._step(v, times[k], dt, v_guess=guess)
+            vfix = self.compiled.fixed_voltages(times[k])
+            v_new = self._step(v, times[k], dt, vfix, v_guess=guess)
             v2 = v1
             v1 = v
             v = v_new
-            self._record_into(waves_t, k, v, times[k])
+            self._record_into(waves_t, k, v, vfix)
         if self.perf is not None:
             self.perf.incr(steps=n_steps)
         return TransientResult(times=times, waveforms_t=waves_t, final_state=v)
 
     def _record_into(
-        self, waves: Dict[str, np.ndarray], k: int, v: np.ndarray, t: float
+        self, waves: Dict[str, np.ndarray], k: int, v: np.ndarray, vfix: np.ndarray
     ) -> None:
-        """Store the state into row ``k`` of the time-major buffers."""
+        """Store the state and the step's fixed-node voltages into row
+        ``k`` of the time-major buffers."""
         for name, arr in waves.items():
             if name in self.compiled.node_index:
                 arr[k] = v[:, self.compiled.node_index[name]]
             else:
-                arr[k] = self.compiled.known_voltage(name, t)
+                arr[k] = vfix[..., self.compiled.fixed_index[name]]
