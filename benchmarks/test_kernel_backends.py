@@ -1,14 +1,14 @@
 """Kernel backend A/B: end-to-end characterization speedup + parity.
 
-Operational benchmark of the pluggable Monte-Carlo kernel backends
-(:mod:`repro.kernels`) and the shared-memory characterization fan-out:
+Operational benchmark of the Monte-Carlo kernel backends
+(:mod:`repro.kernels`: the ``numpy`` golden reference and ``cnative``)
+and the shared-memory characterization fan-out:
 
 * **backend A/B** — one NAND2 arc simulated at ``REPRO_BENCH_KERNEL_SAMPLES``
   (default 65536) MC samples through the ``numpy`` golden backend and
-  every accelerated backend that probes available, best-of-N wall
-  clock, asserting end-to-end delay parity within the 1e-12 s
-  equivalence envelope. At full fidelity the fastest accelerated
-  backend must show >= 2x.
+  ``cnative`` when it probes available, best-of-N wall clock,
+  asserting end-to-end delay parity within the 1e-12 s equivalence
+  envelope. At full fidelity ``cnative`` must show >= 2x.
 * **perf smoke** — a smaller A/B (8192 samples) compared against the
   checked-in baseline in ``results/BENCH_kernel_backends.json``;
   fails when the measured speedup ratio regresses by more than 20 %.
@@ -16,7 +16,7 @@ Operational benchmark of the pluggable Monte-Carlo kernel backends
   ``REPRO_BENCH_UPDATE=1``, so a regression cannot silently ratchet
   the baseline down.
 * **worker scaling** — a mini grid characterized with 1 and 4 workers
-  on the best backend, asserting bit-identical tables and recording
+  on ``cnative`` (``numpy`` without a C compiler), asserting bit-identical tables and recording
   the per-task pickle payload with and without the shared-memory bank
   (the fan-out cost shared memory removes). Wall-clock speedup needs
   multiple cores; on a single-core host the recorded timings are
@@ -35,7 +35,7 @@ import numpy as np
 from conftest import RESULTS_DIR, record_result
 from repro.cells.characterize import ArcCharacterizer, characterize_library
 from repro.cells.library import build_default_library
-from repro.kernels import PREFERENCE_ORDER, available_backends
+from repro.kernels import available_backends
 from repro.parallel import SharedPayloadBank
 from repro.spice.montecarlo import MonteCarloEngine
 from repro.units import FF, PS

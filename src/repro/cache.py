@@ -152,7 +152,7 @@ class JsonCache:
     def _count_miss(self) -> None:
         self.misses += 1
         if self.perf is not None:
-            self.perf.cache_misses += 1
+            self.perf.incr(cache_misses=1)
 
     def pack_path(self, kind: str, key: str) -> Path:
         """File path of a packed artifact (may not exist yet)."""
@@ -207,7 +207,7 @@ class JsonCache:
                 return None
             self.corrupt += 1
             if self.perf is not None:
-                self.perf.cache_corrupt += 1
+                self.perf.incr(cache_corrupt=1)
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - raced with another reader
@@ -216,7 +216,7 @@ class JsonCache:
             return None
         self.hits += 1
         if self.perf is not None:
-            self.perf.cache_hits += 1
+            self.perf.incr(cache_hits=1)
         return doc
 
     def put(self, kind: str, key: str, doc: Dict[str, Any]) -> Path:

@@ -64,9 +64,9 @@ def _add_flow_args(parser: argparse.ArgumentParser) -> None:
                         help="characterization worker processes "
                              "(default: $REPRO_WORKERS or 1; 0 = all cores)")
     parser.add_argument("--kernel", default=None,
-                        help="transient-solver kernel backend: numpy, fused, "
-                             "cnative, numba or auto (default: $REPRO_KERNEL "
-                             "or numpy; unavailable backends fall back with "
+                        help="transient-solver kernel backend: numpy or "
+                             "cnative (default: $REPRO_KERNEL or numpy; an "
+                             "unavailable backend falls back to numpy with "
                              "a warning)")
     parser.add_argument("--surrogate", default=None,
                         help="characterization surrogate: 'gp' enables "

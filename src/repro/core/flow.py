@@ -106,12 +106,11 @@ class DelayCalibrationFlow:
         path to create one at. Receives run/task/checkpoint/quarantine
         events and perf snapshots (JSONL; lint with ``repro lint``).
     kernel:
-        Numeric kernel backend for the transient solver (``"numpy"``,
-        ``"fused"``, ``"cnative"``, ``"numba"`` or ``"auto"``; see
-        :func:`repro.kernels.select_backend`). ``None`` reads the
-        ``REPRO_KERNEL`` env var, defaulting to the golden ``numpy``
-        reference. The choice travels to worker processes and is part
-        of every cache key.
+        Numeric kernel backend for the transient solver (``"numpy"`` or
+        ``"cnative"``; see :func:`repro.kernels.select_backend`).
+        ``None`` reads the ``REPRO_KERNEL`` env var, defaulting to the
+        golden ``numpy`` reference. The choice travels to worker
+        processes and is part of every cache key.
     surrogate:
         Active-learning surrogate characterization
         (:mod:`repro.surrogate`): a

@@ -9,42 +9,33 @@ be swapped without touching solver logic:
 ``numpy``
     The golden reference — the historical solver code verbatim.
     Always available; reproduces published results bit-for-bit.
-``fused``
-    Pure-numpy reformulation of the EKV softplus onto SIMD-vectorized
-    ufuncs (``exp``/``log1p`` instead of the scalar ``logaddexp``
-    inner loop). Always available.
 ``cnative``
-    ``fused`` transcendentals plus C micro-kernels (compiled on first
-    use with the system C compiler via ctypes) for the adjugate solve,
-    the update/compact loop, and the EKV combine stage. Available when
-    a working C toolchain is present and the compiled kernels pass
-    their self-check.
-``numba``
-    JIT-compiled kernels; available only when :mod:`numba` is
-    installed.
+    C micro-kernels (compiled on first use with the system C compiler
+    via ctypes) for the adjugate solve, the update/compact loop, and
+    the EKV combine stage, around numpy's SIMD transcendentals.
+    Available when a working C toolchain is present and the compiled
+    kernels pass their self-check.
 
 Selection
 ---------
 :func:`select_backend` resolves, in order: an explicit ``name``
 argument, the ``REPRO_KERNEL`` environment variable, the ``"numpy"``
-default. ``"auto"`` picks the fastest *available* backend in the
-preference order ``numba > cnative > fused > numpy``. Requesting an
-unavailable backend falls back down the same order with a one-time
-warning (never an error) — characterization on a machine without a C
-compiler must still run.
+default. Requesting an unavailable or unknown backend falls back to
+``numpy`` with a one-time warning (never an error) — characterization
+on a machine without a C compiler must still run.
 
-Accelerated backends are validated against the reference within the
-documented equivalence envelope (``docs/kernels.md``, lint rule
-``KRN001``), and every backend's :meth:`identity` is salted into cache
-keys (:func:`repro.cache.version_salt`) so artifacts produced by
-different backends never alias.
+``cnative`` is validated against the reference within the documented
+equivalence envelope (``docs/kernels.md``, lint rule ``KRN001``), and
+every backend's :meth:`identity` is salted into cache keys
+(:func:`repro.cache.version_salt`) so artifacts produced by different
+backends never alias.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Type
 
 from repro.kernels.base import KernelBackend
 from repro.kernels.numpy_backend import NumpyBackend
@@ -52,7 +43,6 @@ from repro.kernels.numpy_backend import NumpyBackend
 __all__ = [
     "KernelBackend",
     "KERNEL_ENV",
-    "PREFERENCE_ORDER",
     "available_backends",
     "backend_identity",
     "default_backend",
@@ -64,28 +54,17 @@ __all__ = [
 #: choice as the parent.
 KERNEL_ENV = "REPRO_KERNEL"
 
-#: Fallback / ``auto`` resolution order, fastest first. ``numpy`` is the
-#: terminal entry and is always available.
-PREFERENCE_ORDER: Tuple[str, ...] = ("numba", "cnative", "fused", "numpy")
-
 
 def _registry() -> Dict[str, Type[KernelBackend]]:
-    """Backend classes by name. Imports are local so an optional
-    backend with a broken import can never poison ``import repro``."""
-    from repro.kernels.fused_backend import FusedBackend
+    """Backend classes by name. The import is local so a broken
+    optional backend can never poison ``import repro``."""
     from repro.kernels.cnative_backend import CNativeBackend
-    from repro.kernels.numba_backend import NumbaBackend
 
-    return {
-        "numpy": NumpyBackend,
-        "fused": FusedBackend,
-        "cnative": CNativeBackend,
-        "numba": NumbaBackend,
-    }
+    return {"cnative": CNativeBackend, "numpy": NumpyBackend}
 
 
-# Backend instances are cached because probing may compile C sources or
-# trigger JIT warm-up; construction must stay cheap for the solver.
+# Backend instances are cached because probing may compile C sources;
+# construction must stay cheap for the solver.
 _instances: Dict[str, KernelBackend] = {}
 _warned: set = set()
 
@@ -101,14 +80,13 @@ def _instance(name: str) -> KernelBackend:
 def available_backends() -> List[Dict[str, str]]:
     """Probe every registered backend.
 
-    Returns a list of ``{"name", "available", "detail"}`` dicts in
-    preference order — the payload behind ``repro kernels`` style
-    introspection and the docs' backend matrix.
+    Returns a list of ``{"name", "available", "detail"}`` dicts, the
+    always-available reference ``numpy`` last — the payload behind
+    ``repro kernels`` style introspection and the docs' backend matrix.
     """
     out: List[Dict[str, str]] = []
-    reg = _registry()
-    for name in PREFERENCE_ORDER:
-        ok, reason = reg[name].probe()
+    for name, cls in _registry().items():
+        ok, reason = cls.probe()
         out.append({
             "name": name,
             "available": "yes" if ok else "no",
@@ -127,29 +105,24 @@ def select_backend(
     Parameters
     ----------
     name:
-        Backend name, ``"auto"``, or ``None`` to consult the
-        ``REPRO_KERNEL`` environment variable (default ``"numpy"``).
+        Backend name (``"numpy"`` or ``"cnative"``), or ``None`` to
+        consult the ``REPRO_KERNEL`` environment variable (default
+        ``"numpy"``).
     fallback:
-        When True (the default), an unavailable request degrades down
-        :data:`PREFERENCE_ORDER` with a one-time ``RuntimeWarning``.
-        When False, an unavailable request raises ``ValueError`` — used
-        by tests and CI jobs that must not silently run a different
-        backend than they claim to.
+        When True (the default), an unavailable or unknown request
+        degrades to ``numpy`` with a one-time ``RuntimeWarning``.
+        When False, it raises ``ValueError`` — used by tests and CI
+        jobs that must not silently run a different backend than they
+        claim to.
     """
     requested = name if name is not None else os.environ.get(KERNEL_ENV) or "numpy"
     requested = requested.strip().lower()
     reg = _registry()
-    if requested == "auto":
-        for cand in PREFERENCE_ORDER:
-            ok, _ = reg[cand].probe()
-            if ok:
-                return _instance(cand)
-        return _instance("numpy")  # pragma: no cover - numpy always probes True
     if requested not in reg:
         if not fallback:
             raise ValueError(
                 f"unknown kernel backend {requested!r}; "
-                f"known: {', '.join(sorted(reg))}, or 'auto'"
+                f"known: {', '.join(sorted(reg))}"
             )
         _warn_once(requested, f"unknown kernel backend {requested!r}")
         return _instance("numpy")
@@ -158,25 +131,16 @@ def select_backend(
         return _instance(requested)
     if not fallback:
         raise ValueError(f"kernel backend {requested!r} unavailable: {reason}")
-    start = PREFERENCE_ORDER.index(requested)
-    for cand in PREFERENCE_ORDER[start + 1:]:
-        cand_ok, _ = reg[cand].probe()
-        if cand_ok:
-            _warn_once(
-                requested,
-                f"kernel backend {requested!r} unavailable ({reason})",
-                cand,
-            )
-            return _instance(cand)
-    return _instance("numpy")  # pragma: no cover - numpy always probes True
+    _warn_once(requested, f"kernel backend {requested!r} unavailable ({reason})")
+    return _instance("numpy")
 
 
-def _warn_once(requested: str, why: str, fell_back_to: str = "numpy") -> None:
+def _warn_once(requested: str, why: str) -> None:
     if requested in _warned:
         return
     _warned.add(requested)
     warnings.warn(
-        f"{why}; falling back to the {fell_back_to!r} backend",
+        f"{why}; falling back to the 'numpy' backend",
         RuntimeWarning,
         stacklevel=3,
     )

@@ -22,7 +22,7 @@ actually spends its time in:
 
 The ``numpy`` backend is the *golden reference*: it is the historical
 solver code verbatim, so selecting it reproduces every previously
-published number bit-for-bit. Other backends must stay within the
+published number bit-for-bit. ``cnative`` must stay within the
 documented equivalence envelope (see ``docs/kernels.md`` and lint rule
 ``KRN001``): well-conditioned primitive outputs within 1e-15 relative,
 cancellation-amplified conductances within 1e-9 relative, end-to-end
@@ -49,8 +49,7 @@ class KernelBackend:
     Class attributes
     ----------------
     name:
-        Registry key (``"numpy"``, ``"fused"``, ``"cnative"``,
-        ``"numba"``).
+        Registry key (``"numpy"`` or ``"cnative"``).
     version:
         Backend implementation version; bumped whenever the numeric
         behavior of a primitive changes. ``identity()`` — salted into

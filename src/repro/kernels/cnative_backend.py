@@ -14,13 +14,19 @@ The C source is compiled on first use with the system C compiler
 a per-user cache directory (override with ``REPRO_NATIVE_CACHE``), so
 the cost is paid once per source revision, not per process.
 
-Every C expression mirrors the reference operation-for-operation and
-the build disables FP contraction, so results are bit-identical to the
-``fused`` backend (and within the documented envelope of ``numpy``).
-The :meth:`probe` self-check verifies this bit-identity on every
-primitive before the backend can be selected; any discrepancy —
-compiler quirk, missing toolchain — degrades the probe to unavailable
-and selection falls back gracefully.
+The EKV softplus is computed as ``log1p(exp(-|y|)) + max(y, 0)``
+(:func:`fast_softplus`), which touches only SIMD-vectorized
+single-argument ufuncs instead of the scalar ``logaddexp`` inner loop
+of the reference. Inputs the C stages cannot take (scalars, non-
+contiguous or broadcast arrays) run the same formulas in numpy
+(:func:`fast_interp_f`), so both paths agree bit-for-bit and stay
+within the documented envelope of ``numpy``.
+
+Every C expression mirrors that numpy path operation-for-operation and
+the build disables FP contraction. The :meth:`probe` self-check
+verifies this bit-identity on every primitive before the backend can
+be selected; any discrepancy — compiler quirk, missing toolchain —
+degrades the probe to unavailable and selection falls back gracefully.
 """
 
 from __future__ import annotations
@@ -35,11 +41,36 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.fused_backend import FusedBackend
+from repro.kernels.numpy_backend import NumpyBackend
 
 # Raw addresses are passed as void pointers: ndarray.ctypes.data is a
 # plain int attribute, ~10x cheaper per call than data_as()/cast().
 _void_p = ctypes.c_void_p
+
+
+def fast_softplus(x: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(x))`` via SIMD-vectorized ``exp``/``log1p``.
+
+    Matches :func:`repro.spice.mosfet._softplus` (``logaddexp(0, x)``)
+    branch-for-branch: for ``x <= 0`` both compute ``log1p(exp(x))``;
+    for ``x > 0`` both compute ``x + log1p(exp(-x))``. Only ulp-level
+    rounding of the ufunc implementations differs. NaN propagates
+    through ``exp``/``log1p``/``where`` exactly as through
+    ``logaddexp``.
+    """
+    e = np.exp(-np.abs(x))
+    l = np.log1p(e)
+    return np.where(x > 0.0, x + l, l)
+
+
+def fast_interp_f(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """EKV interpolation ``(F(x), F'(x))`` on the fast softplus.
+
+    Mirrors :func:`repro.spice.mosfet._interp_f` with the softplus
+    swapped; the derivative-via-``expm1`` identity is kept verbatim.
+    """
+    sp = fast_softplus(x * 0.5)
+    return sp * sp, sp * -np.expm1(-sp)
 
 
 def _cache_dir() -> Path:
@@ -134,8 +165,15 @@ def _dptr(x: np.ndarray) -> int:
     return x.ctypes.data
 
 
-class CNativeBackend(FusedBackend):
-    """ctypes C micro-kernel backend (fused transcendentals + C loops)."""
+def _numpy_ekv_eval(vg, vd, vs, params) -> Tuple[np.ndarray, ...]:
+    """The EKV model on :func:`fast_interp_f`: what the C stages compute."""
+    from repro.spice.mosfet import _ekv_core
+
+    return _ekv_core(vg, vd, vs, params, fast_interp_f)
+
+
+class CNativeBackend(NumpyBackend):
+    """ctypes C micro-kernel backend (numpy SIMD transcendentals + C loops)."""
 
     name = "cnative"
     version = "1"
@@ -165,12 +203,10 @@ class CNativeBackend(FusedBackend):
         backend reports unavailable instead of producing off-envelope
         numbers.
         """
-        from repro.kernels.numpy_backend import NumpyBackend
         from repro.spice.mosfet import MosfetParams
 
         rng = np.random.default_rng(20260807)
         ref = NumpyBackend()
-        fused = FusedBackend()
         inst = cls.__new__(cls)  # bypass probe recursion; _lib already set
         s = 257
         for n in (1, 2, 3):
@@ -213,7 +249,7 @@ class CNativeBackend(FusedBackend):
         vd = 0.6 * rng.random(s)
         vs = 0.1 * rng.random(s)
         got = inst.ekv_eval(vg, vd, vs, params)
-        want = fused.ekv_eval(vg, vd, vs, params)
+        want = _numpy_ekv_eval(vg, vd, vs, params)
         for name, g, w in zip(("ids", "gg", "gd", "gs"), got, want):
             if not np.array_equal(np.asarray(g), np.asarray(w)):
                 raise RuntimeError(f"ekv_eval self-check mismatch on {name}")
@@ -232,7 +268,7 @@ class CNativeBackend(FusedBackend):
         if lib is None or not shape:
             # Scalar evaluation (unit tests, sanity probes) keeps the
             # numpy shape semantics of the reference.
-            return super().ekv_eval(vg, vd, vs, params)
+            return _numpy_ekv_eval(vg, vd, vs, params)
         # The model is elementwise, so the solver's stacked (devices,
         # samples) input runs through the C stages as one flat vector.
         # The C loops broadcast scalars only: every array input must
@@ -242,7 +278,7 @@ class CNativeBackend(FusedBackend):
             if x.ndim and (
                 x.shape != shape or (x.ndim > 1 and not x.flags.c_contiguous)
             ):
-                return super().ekv_eval(vg, vd, vs, params)
+                return _numpy_ekv_eval(vg, vd, vs, params)
             flat.append(x.reshape(-1) if x.ndim > 1 else x)
         vg, vd, vs, vt, ispec = flat
         s = int(np.prod(shape))
@@ -257,7 +293,7 @@ class CNativeBackend(FusedBackend):
         )
         # Only the transcendentals run as numpy (SIMD) passes; the
         # surrounding elementwise assembly is fused into the C stages.
-        # y is already x*0.5, so the math matches the fused backend
+        # y is already x*0.5, so the math matches fast_interp_f
         # bit-for-bit. Buffers are reused in place (nay -> l).
         np.exp(nay_f, out=nay_f)
         np.log1p(nay_f, out=nay_f)

@@ -758,7 +758,7 @@ def parallel_map(
         outcomes[outcome.index] = outcome
         i = outcome.index
         if perf is not None:
-            perf.task_retries += outcome.attempts - 1
+            perf.incr(task_retries=outcome.attempts - 1)
         if journal is not None:
             for f in outcome.failures[: outcome.attempts - 1 + (0 if outcome.ok else 1)]:
                 if f.attempt <= policy.max_retries:
@@ -777,7 +777,7 @@ def parallel_map(
 
     def on_pool_crash(idxs: List[int], crashes: int) -> None:
         if perf is not None:
-            perf.pool_crashes += 1
+            perf.incr(pool_crashes=1)
         if journal is not None:
             journal.event(
                 "pool_crash", tasks=idxs,
@@ -817,7 +817,7 @@ def parallel_map(
             )
         quarantine.append(record)
         if perf is not None:
-            perf.task_quarantines += 1
+            perf.incr(task_quarantines=1)
         if journal is not None:
             journal.event("task_quarantine", **record.as_dict())
     return results

@@ -71,50 +71,63 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Tuple
+
+
+#: Every integer counter, in ``to_dict`` order. ``merge``, ``to_dict``
+#: and ``from_dict`` loop over this tuple; the module docstring says
+#: what each counter means.
+COUNTERS: Tuple[str, ...] = (
+    "newton_iterations", "linear_solves", "sample_solves",
+    "full_sample_solves", "fast_solves", "steps", "dc_steps",
+    "dc_early_exits", "simulations",
+    "sta_compiles", "sta_scenarios", "sta_levels", "sta_arc_evals",
+    "sta_serve_requests", "sta_serve_scenarios", "sta_serve_rejects",
+    "sta_serve_deadline_misses", "sta_serve_evictions",
+    "sta_serve_design_loads",
+    "cache_hits", "cache_misses", "cache_corrupt",
+    "pack_writes", "pack_loads", "pack_verifies",
+    "task_retries", "task_quarantines", "pool_crashes",
+    "points_simulated", "points_predicted",
+)
+_COUNTER_SET = frozenset(COUNTERS)
 
 
 @dataclass
 class PerfCounters:
-    """Accumulating performance counters (cheap to update, mergeable)."""
+    """Accumulating performance counters (cheap to update, mergeable).
 
-    newton_iterations: int = 0
-    linear_solves: int = 0
-    sample_solves: int = 0
-    full_sample_solves: int = 0
-    fast_solves: int = 0
-    steps: int = 0
-    dc_steps: int = 0
-    dc_early_exits: int = 0
-    simulations: int = 0
-    sta_compiles: int = 0
-    sta_scenarios: int = 0
-    sta_levels: int = 0
-    sta_arc_evals: int = 0
-    sta_serve_requests: int = 0
-    sta_serve_scenarios: int = 0
-    sta_serve_rejects: int = 0
-    sta_serve_deadline_misses: int = 0
-    sta_serve_evictions: int = 0
-    sta_serve_design_loads: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_corrupt: int = 0
-    pack_writes: int = 0
-    pack_loads: int = 0
-    pack_verifies: int = 0
-    task_retries: int = 0
-    task_quarantines: int = 0
-    pool_crashes: int = 0
-    points_simulated: int = 0
-    points_predicted: int = 0
+    The integer counters of :data:`COUNTERS` live in one dict. They
+    read as attributes (``perf.sta_levels``) but have no setter:
+    :meth:`incr` is the only way to write one.
+    """
+
     wall_s: Dict[str, float] = field(default_factory=dict)
     kernel_ops: Dict[str, int] = field(default_factory=dict)
     arc_wall_s: Dict[str, float] = field(default_factory=dict)
     arc_samples: Dict[str, int] = field(default_factory=dict)
+    _counts: Dict[str, int] = field(
+        init=False, repr=False, default_factory=lambda: dict.fromkeys(COUNTERS, 0)
+    )
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
+
+    def __getattr__(self, name: str) -> int:
+        # Only reached when normal lookup fails, i.e. for counter names.
+        try:
+            return self.__dict__["_counts"][name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            ) from None
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _COUNTER_SET:
+            raise AttributeError(
+                f"counter {name!r} has no setter; use PerfCounters.incr"
+            )
+        super().__setattr__(name, value)
 
     # Locks don't pickle; recreate one on the receiving side (worker
     # round-trips serialize counters between processes).
@@ -132,14 +145,21 @@ class PerfCounters:
         """Atomically add to several integer counters at once.
 
         ``perf.incr(newton_iterations=1, sample_solves=n)`` is the
-        supported mutation path for hot loops: one lock acquisition per
-        call, so concurrent accumulation (e.g. the shared-memory
-        publisher thread next to the solver loop) never loses updates
-        the way bare ``perf.field += n`` read-modify-writes can.
+        only mutation path for the counters of :data:`COUNTERS`: one
+        lock acquisition per call, so concurrent accumulation (e.g.
+        the shared-memory publisher thread next to the solver loop)
+        never loses updates the way a read-modify-write outside the
+        lock could. An unknown name raises ``AttributeError``.
         """
         with self._lock:
-            for name, n in counts.items():
-                setattr(self, name, getattr(self, name) + n)
+            c = self._counts
+            try:
+                for name, n in counts.items():
+                    c[name] += n
+            except KeyError as exc:
+                raise AttributeError(
+                    f"unknown perf counter {exc.args[0]!r}"
+                ) from None
 
     def add_kernel_op(self, backend: str, primitive: str, n: int = 1) -> None:
         """Count ``n`` sample-primitive events for ``backend.primitive``."""
@@ -187,36 +207,7 @@ class PerfCounters:
     # ------------------------------------------------------------------
     def merge(self, other: "PerfCounters") -> "PerfCounters":
         """Fold another counter set (e.g. from a worker process) into this one."""
-        self.newton_iterations += other.newton_iterations
-        self.linear_solves += other.linear_solves
-        self.sample_solves += other.sample_solves
-        self.full_sample_solves += other.full_sample_solves
-        self.fast_solves += other.fast_solves
-        self.steps += other.steps
-        self.dc_steps += other.dc_steps
-        self.dc_early_exits += other.dc_early_exits
-        self.simulations += other.simulations
-        self.sta_compiles += other.sta_compiles
-        self.sta_scenarios += other.sta_scenarios
-        self.sta_levels += other.sta_levels
-        self.sta_arc_evals += other.sta_arc_evals
-        self.sta_serve_requests += other.sta_serve_requests
-        self.sta_serve_scenarios += other.sta_serve_scenarios
-        self.sta_serve_rejects += other.sta_serve_rejects
-        self.sta_serve_deadline_misses += other.sta_serve_deadline_misses
-        self.sta_serve_evictions += other.sta_serve_evictions
-        self.sta_serve_design_loads += other.sta_serve_design_loads
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_corrupt += other.cache_corrupt
-        self.pack_writes += other.pack_writes
-        self.pack_loads += other.pack_loads
-        self.pack_verifies += other.pack_verifies
-        self.task_retries += other.task_retries
-        self.task_quarantines += other.task_quarantines
-        self.pool_crashes += other.pool_crashes
-        self.points_simulated += other.points_simulated
-        self.points_predicted += other.points_predicted
+        self.incr(**other._counts)
         for stage, seconds in other.wall_s.items():
             self.add_wall(stage, seconds)
         for arc, seconds in other.arc_wall_s.items():
@@ -230,81 +221,26 @@ class PerfCounters:
 
     def to_dict(self) -> dict:
         """JSON-ready dump (counters + derived active-sample fraction)."""
-        return {
-            "newton_iterations": self.newton_iterations,
-            "linear_solves": self.linear_solves,
-            "sample_solves": self.sample_solves,
-            "full_sample_solves": self.full_sample_solves,
-            "active_sample_fraction": round(self.active_sample_fraction, 4),
-            "fast_solves": self.fast_solves,
-            "steps": self.steps,
-            "dc_steps": self.dc_steps,
-            "dc_early_exits": self.dc_early_exits,
-            "simulations": self.simulations,
-            "sta_compiles": self.sta_compiles,
-            "sta_scenarios": self.sta_scenarios,
-            "sta_levels": self.sta_levels,
-            "sta_arc_evals": self.sta_arc_evals,
-            "sta_serve_requests": self.sta_serve_requests,
-            "sta_serve_scenarios": self.sta_serve_scenarios,
-            "sta_serve_rejects": self.sta_serve_rejects,
-            "sta_serve_deadline_misses": self.sta_serve_deadline_misses,
-            "sta_serve_evictions": self.sta_serve_evictions,
-            "sta_serve_design_loads": self.sta_serve_design_loads,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_corrupt": self.cache_corrupt,
-            "pack_writes": self.pack_writes,
-            "pack_loads": self.pack_loads,
-            "pack_verifies": self.pack_verifies,
-            "task_retries": self.task_retries,
-            "task_quarantines": self.task_quarantines,
-            "pool_crashes": self.pool_crashes,
-            "points_simulated": self.points_simulated,
-            "points_predicted": self.points_predicted,
+        out: dict = {}
+        for name in COUNTERS:
+            out[name] = self._counts[name]
+            if name == "full_sample_solves":
+                out["active_sample_fraction"] = round(self.active_sample_fraction, 4)
+        out.update({
             "wall_s": {k: round(v, 4) for k, v in self.wall_s.items()},
             "kernel_ops": dict(sorted(self.kernel_ops.items())),
             "arc_wall_s": {
                 k: round(v, 4) for k, v in sorted(self.arc_wall_s.items())
             },
             "arc_samples": dict(sorted(self.arc_samples.items())),
-        }
+        })
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerfCounters":
         """Rebuild counters from :meth:`to_dict` output (worker round-trip)."""
-        out = cls(
-            newton_iterations=int(data.get("newton_iterations", 0)),
-            linear_solves=int(data.get("linear_solves", 0)),
-            sample_solves=int(data.get("sample_solves", 0)),
-            full_sample_solves=int(data.get("full_sample_solves", 0)),
-            fast_solves=int(data.get("fast_solves", 0)),
-            steps=int(data.get("steps", 0)),
-            dc_steps=int(data.get("dc_steps", 0)),
-            dc_early_exits=int(data.get("dc_early_exits", 0)),
-            simulations=int(data.get("simulations", 0)),
-            sta_compiles=int(data.get("sta_compiles", 0)),
-            sta_scenarios=int(data.get("sta_scenarios", 0)),
-            sta_levels=int(data.get("sta_levels", 0)),
-            sta_arc_evals=int(data.get("sta_arc_evals", 0)),
-            sta_serve_requests=int(data.get("sta_serve_requests", 0)),
-            sta_serve_scenarios=int(data.get("sta_serve_scenarios", 0)),
-            sta_serve_rejects=int(data.get("sta_serve_rejects", 0)),
-            sta_serve_deadline_misses=int(data.get("sta_serve_deadline_misses", 0)),
-            sta_serve_evictions=int(data.get("sta_serve_evictions", 0)),
-            sta_serve_design_loads=int(data.get("sta_serve_design_loads", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
-            cache_corrupt=int(data.get("cache_corrupt", 0)),
-            pack_writes=int(data.get("pack_writes", 0)),
-            pack_loads=int(data.get("pack_loads", 0)),
-            pack_verifies=int(data.get("pack_verifies", 0)),
-            task_retries=int(data.get("task_retries", 0)),
-            task_quarantines=int(data.get("task_quarantines", 0)),
-            pool_crashes=int(data.get("pool_crashes", 0)),
-            points_simulated=int(data.get("points_simulated", 0)),
-            points_predicted=int(data.get("points_predicted", 0)),
-        )
+        out = cls()
+        out.incr(**{name: int(data.get(name, 0)) for name in COUNTERS})
         out.wall_s = {k: float(v) for k, v in data.get("wall_s", {}).items()}
         out.kernel_ops = {k: int(v) for k, v in data.get("kernel_ops", {}).items()}
         out.arc_wall_s = {k: float(v) for k, v in data.get("arc_wall_s", {}).items()}

@@ -170,9 +170,9 @@ class MonteCarloEngine:
         Use the convergence-masked Newton kernel (default; see
         :class:`~repro.spice.transient.TransientSolver`).
     kernel:
-        Kernel backend *name* (``"numpy"``, ``"fused"``, ``"cnative"``,
-        ``"numba"``, ``"auto"``) for the solver hot path; ``None``
-        defers to the ``REPRO_KERNEL`` environment variable. Stored as
+        Kernel backend *name* (``"numpy"`` or ``"cnative"``) for the
+        solver hot path; ``None`` defers to the ``REPRO_KERNEL``
+        environment variable. Stored as
         a name (not an instance) so it travels in
         :meth:`fidelity_opts` to worker processes and cache keys.
 

@@ -119,6 +119,7 @@ class MosfetParams:
         dvth: np.ndarray,
         mobility_scale: np.ndarray,
         length_scale: np.ndarray,
+        length=None,
     ) -> "MosfetParams":
         """Build evaluation parameters from technology constants and a sample batch.
 
@@ -135,12 +136,16 @@ class MosfetParams:
             Per-sample deviations from :class:`~repro.variation.sampling.ParameterSample`:
             ``(n_samples,)`` for one device, ``(n_devices, n_samples)``
             when stacked.
+        length:
+            Drawn length in meters (``(n_devices, 1)`` when stacked);
+            ``None`` means the technology minimum ``tech.l_min``.
         """
         phi_t = thermal_voltage(tech.temperature_c)
         vt0 = np.where(is_pmos, tech.vt0_p, tech.vt0_n)
         kp = np.where(is_pmos, tech.kp_p, tech.kp_n)
         n = tech.subthreshold_slope_factor
-        w_over_l = width / (tech.l_min * np.asarray(length_scale, dtype=float))
+        drawn = tech.l_min if length is None else length
+        w_over_l = width / (drawn * np.asarray(length_scale, dtype=float))
         ispec = 2.0 * n * kp * w_over_l * phi_t**2 * np.asarray(mobility_scale, dtype=float)
         vt = vt0 + np.asarray(dvth, dtype=float)
         return cls(

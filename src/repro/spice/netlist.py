@@ -644,6 +644,9 @@ class CompiledCircuit:
             dvth=np.ascontiguousarray(sample.dvth.T),
             mobility_scale=np.ascontiguousarray(sample.mobility_scale.T),
             length_scale=np.ascontiguousarray(sample.length_scale.T),
+            length=np.array(
+                [m.length or self.tech.l_min for m in devices], dtype=float
+            )[:, None],
         )
 
     def device_currents(

@@ -1,10 +1,12 @@
 """Kernel backend registry, selection, and golden-equivalence tests.
 
-The numpy backend is the golden reference; every other backend that
-probes available on this machine must satisfy the KRN001 equivalence
+The numpy backend is the golden reference; ``cnative``, when it
+probes available on this machine, must satisfy the KRN001 equivalence
 envelope (primitives within 1e-12 normalized, conductances within
 1e-9, end-to-end delays within 1e-12 s) and be selectable through the
 ``REPRO_KERNEL`` environment variable and the ``kernel=`` engine knob.
+Selection tests that need ``cnative`` available (or unavailable) on
+every host use a registry stand-in, so they run without a C compiler.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from repro.cache import version_salt
 from repro.cells.characterize import ArcCharacterizer
 from repro.kernels import (
     KERNEL_ENV,
-    PREFERENCE_ORDER,
     available_backends,
     backend_identity,
     default_backend,
@@ -43,25 +44,48 @@ def _clean_kernel_env(monkeypatch):
     yield
 
 
+def _stand_in_cnative(monkeypatch, available: bool) -> None:
+    """Register a numpy-math stand-in under the name ``cnative``."""
+
+    class StandIn(NumpyBackend):
+        name = "cnative"
+        version = "stand-in"
+
+        @classmethod
+        def probe(cls):
+            return (True, "stand-in") if available else (False, "no C compiler")
+
+    monkeypatch.setattr(
+        kernels, "_registry", lambda: {"cnative": StandIn, "numpy": NumpyBackend}
+    )
+    monkeypatch.setattr(kernels, "_instances", {})
+
+
 class TestSelection:
     def test_default_is_numpy(self):
         assert select_backend().name == "numpy"
         assert default_backend().name == "numpy"
 
     def test_env_var_honored(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "fused")
-        assert select_backend().name == "fused"
-        assert backend_identity().startswith("fused-")
+        _stand_in_cnative(monkeypatch, available=True)
+        monkeypatch.setenv(KERNEL_ENV, "cnative")
+        assert select_backend().name == "cnative"
+        assert backend_identity().startswith("cnative-")
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "fused")
+        _stand_in_cnative(monkeypatch, available=True)
+        monkeypatch.setenv(KERNEL_ENV, "cnative")
         assert select_backend("numpy").name == "numpy"
 
-    def test_auto_picks_first_available(self):
-        picked = select_backend("auto")
-        avail = _available_names()
-        # auto must pick the preference-order-first available backend
-        assert picked.name == next(n for n in PREFERENCE_ORDER if n in avail)
+    def test_only_numpy_and_cnative_are_registered(self):
+        assert sorted(kernels._registry()) == ["cnative", "numpy"]
+
+    @pytest.mark.parametrize("retired", ["fused", "numba", "auto"])
+    def test_retired_names_warn_and_fall_back(self, retired):
+        with pytest.warns(RuntimeWarning, match="unknown kernel backend"):
+            assert select_backend(retired).name == "numpy"
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            select_backend(retired, fallback=False)
 
     def test_unknown_name_warns_and_falls_back(self):
         with pytest.warns(RuntimeWarning, match="unknown kernel backend"):
@@ -81,28 +105,20 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             select_backend("hal9000", fallback=False)
 
-    def test_strict_mode_raises_on_unavailable(self):
-        unavailable = [
-            b["name"] for b in available_backends() if b["available"] == "no"
-        ]
-        if not unavailable:
-            pytest.skip("every registered backend is available here")
-        with pytest.raises(ValueError, match="unavailable"):
-            select_backend(unavailable[0], fallback=False)
+    def test_strict_mode_raises_on_unavailable(self, monkeypatch):
+        _stand_in_cnative(monkeypatch, available=False)
+        with pytest.raises(ValueError, match="unavailable: no C compiler"):
+            select_backend("cnative", fallback=False)
 
-    def test_unavailable_falls_back_down_preference_order(self):
-        unavailable = [
-            b["name"] for b in available_backends() if b["available"] == "no"
-        ]
-        if not unavailable:
-            pytest.skip("every registered backend is available here")
+    def test_unavailable_cnative_falls_back_to_numpy(self, monkeypatch):
+        _stand_in_cnative(monkeypatch, available=False)
         with pytest.warns(RuntimeWarning, match="unavailable"):
-            backend = select_backend(unavailable[0])
-        assert backend.name in _available_names()
+            backend = select_backend("cnative")
+        assert backend.name == "numpy"
 
     def test_available_backends_shape(self):
         rows = available_backends()
-        assert [r["name"] for r in rows] == list(PREFERENCE_ORDER)
+        assert [r["name"] for r in rows] == ["cnative", "numpy"]
         for row in rows:
             assert row["available"] in ("yes", "no")
             assert row["detail"]
@@ -126,10 +142,11 @@ class TestCacheSalt:
         assert salt["kernel"] == backend_identity()
 
     def test_salt_tracks_kernel_env(self, monkeypatch):
+        _stand_in_cnative(monkeypatch, available=True)
         base = version_salt()["kernel"]
-        monkeypatch.setenv(KERNEL_ENV, "fused")
+        monkeypatch.setenv(KERNEL_ENV, "cnative")
         assert version_salt()["kernel"] != base
-        assert version_salt()["kernel"].startswith("fused-")
+        assert version_salt()["kernel"].startswith("cnative-")
 
 
 class _BrokenBackend(NumpyBackend):

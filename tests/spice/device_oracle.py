@@ -30,6 +30,7 @@ def oracle_bind_sample(
             dvth=sample.dvth[:, j],
             mobility_scale=sample.mobility_scale[:, j],
             length_scale=sample.length_scale[:, j],
+            length=m.length or compiled.tech.l_min,
         )
         for j, m in enumerate(compiled.netlist.mosfets)
     ]

@@ -181,6 +181,23 @@ class TestCompile:
         # PMOS is wider -> smaller sigma.
         assert sigmas[0] < sigmas[1]
 
+    def test_bind_sample_uses_drawn_length(self, tech, variation):
+        # Current, like the Pelgrom sigma, follows the drawn length.
+        net = TransistorNetlist()
+        net.fix("vdd", tech.vdd)
+        net.fix("in", 0.0)
+        w = tech.unit_nmos_width
+        net.add_mosfet("short", "n", drain="out", gate="in", source="gnd",
+                       width=w)
+        net.add_mosfet("long", "n", drain="out", gate="in", source="gnd",
+                       width=w, length=2 * tech.l_min)
+        net.add_capacitor("cl", "out", 1 * FF)
+        params = net.compile(tech).bind_sample(ParameterSample.nominal(3, 2))
+        np.testing.assert_allclose(params.ispec[1], 0.5 * params.ispec[0],
+                                   rtol=1e-15)
+        sigmas, _ = net.mismatch_sigmas(variation, tech)
+        assert sigmas[1] < sigmas[0]
+
 
 class TestBuildLinear:
     def _rc_netlist(self, tech):

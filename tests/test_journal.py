@@ -45,8 +45,7 @@ class TestRunJournal:
     def test_perf_snapshot_round_trips_counters(self, tmp_path):
         path = tmp_path / "run.jsonl"
         perf = PerfCounters()
-        perf.task_retries = 3
-        perf.cache_corrupt = 1
+        perf.incr(task_retries=3, cache_corrupt=1)
         with RunJournal(path) as journal:
             journal.perf_snapshot(perf, stage="characterize")
         (event,) = read_journal(path)

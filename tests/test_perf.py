@@ -1,11 +1,16 @@
-"""PerfCounters: thread-safety, kernel-op attribution, round-trips."""
+"""PerfCounters: thread-safety, kernel-op attribution, round-trips,
+the named-counter map, and locked counter writes by its callers."""
 
 from __future__ import annotations
 
 import pickle
 import threading
 
-from repro.perf import PerfCounters
+import pytest
+
+from repro.cache import JsonCache
+from repro.parallel import RetryPolicy, parallel_map
+from repro.perf import COUNTERS, PerfCounters
 
 
 class TestThreadSafety:
@@ -89,3 +94,116 @@ class TestRoundTrips:
         assert doc["kernel_ops"] == {"numpy.device_eval": 4}
         back = PerfCounters.from_dict(doc)
         assert back.kernel_ops == {"numpy.device_eval": 4}
+
+
+#: ``to_dict`` keys, in the order ``/stats``, the journal's
+#: ``perf_snapshot`` and perfbench have always read them.
+TO_DICT_KEYS = [
+    "newton_iterations", "linear_solves", "sample_solves",
+    "full_sample_solves", "active_sample_fraction", "fast_solves", "steps",
+    "dc_steps", "dc_early_exits", "simulations", "sta_compiles",
+    "sta_scenarios", "sta_levels", "sta_arc_evals", "sta_serve_requests",
+    "sta_serve_scenarios", "sta_serve_rejects", "sta_serve_deadline_misses",
+    "sta_serve_evictions", "sta_serve_design_loads", "cache_hits",
+    "cache_misses", "cache_corrupt", "pack_writes", "pack_loads",
+    "pack_verifies", "task_retries", "task_quarantines", "pool_crashes",
+    "points_simulated", "points_predicted", "wall_s", "kernel_ops",
+    "arc_wall_s", "arc_samples",
+]
+
+
+class TestCounterMap:
+    def test_to_dict_keys_keep_their_order(self):
+        assert list(PerfCounters().to_dict()) == TO_DICT_KEYS
+
+    def test_every_counter_round_trips(self):
+        want = {name: 7 * i + 3 for i, name in enumerate(COUNTERS)}
+        perf = PerfCounters()
+        perf.incr(**want)
+        perf.add_wall("simulate", 1.5)
+        perf.add_kernel_op("numpy", "solve_stack", 9)
+        perf.add_arc("INVx1/A/rise", 0.25, 40)
+        clones = {
+            "from_dict": PerfCounters.from_dict(perf.to_dict()),
+            "pickle": pickle.loads(pickle.dumps(perf)),
+            "merge": PerfCounters().merge(perf),
+        }
+        for how, clone in clones.items():
+            assert {n: getattr(clone, n) for n in COUNTERS} == want, how
+            assert clone.to_dict() == perf.to_dict(), how
+        doubled = PerfCounters.from_dict(perf.to_dict()).merge(perf)
+        assert {n: getattr(doubled, n) for n in COUNTERS} == {
+            n: 2 * v for n, v in want.items()
+        }
+
+    def test_incr_rejects_unknown_name(self):
+        perf = PerfCounters()
+        with pytest.raises(AttributeError, match="typo"):
+            perf.incr(typo=1)
+        with pytest.raises(AttributeError):
+            perf.typo
+
+    def test_counters_have_no_setter(self):
+        perf = PerfCounters()
+        with pytest.raises(AttributeError, match="incr"):
+            perf.cache_hits = 5
+        assert perf.cache_hits == 0
+
+
+#: Counters the artifact cache and the fault-tolerant executor write.
+GUARDED = ("cache_hits", "cache_misses", "cache_corrupt",
+           "task_retries", "task_quarantines", "pool_crashes")
+
+
+class LockAuditingCounters(PerfCounters):
+    """Records every write to a guarded counter made without the lock.
+
+    A bare ``perf.counter += n`` calls ``__setattr__`` while ``_lock``
+    is free, which a concurrent writer could interleave with (the
+    server's registry compiles through a ``JsonCache`` from executor
+    threads).
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.unlocked_writes = []
+
+    def __setattr__(self, name, value):
+        lock = getattr(self, "_lock", None)
+        if name in GUARDED and lock is not None and not lock.locked():
+            self.unlocked_writes.append(name)
+        super().__setattr__(name, value)
+
+
+class TestCacheAndExecutorCountUnderTheLock:
+    def test_json_cache_miss_hit_and_corrupt(self, tmp_path):
+        perf = LockAuditingCounters()
+        cache = JsonCache(tmp_path, perf=perf)
+        assert cache.get("arc", "k") is None  # miss
+        cache.put("arc", "k", {"x": 1})
+        assert cache.get("arc", "k") == {"x": 1}  # hit
+        cache.path("arc", "k").write_text('{"x": ')
+        assert cache.get("arc", "k") is None  # corrupt, then a miss
+        assert perf.unlocked_writes == []
+        assert (perf.cache_hits, perf.cache_misses, perf.cache_corrupt) == (1, 2, 1)
+
+    def test_parallel_retry_and_quarantine(self):
+        perf = LockAuditingCounters()
+        attempts = {}
+
+        def flaky(task):
+            attempts[task] = attempts.get(task, 0) + 1
+            if task == "bad" or attempts[task] == 1:
+                raise RuntimeError(f"{task} attempt {attempts[task]}")
+            return task
+
+        quarantine = []
+        results = parallel_map(
+            flaky, ["ok", "bad"], workers=1,
+            policy=RetryPolicy(max_retries=1, backoff_s=0.0),
+            quarantine=quarantine, perf=perf,
+        )
+        assert results == ["ok", None]
+        assert [q.label for q in quarantine] == ["1"]
+        assert perf.unlocked_writes == []
+        assert (perf.task_retries, perf.task_quarantines) == (2, 1)
