@@ -11,7 +11,10 @@ Small human-readable artifacts (arc tables, fitted models) are JSON
 files, ``<kind>_<key>.json``. Compiled designs are tensor-heavy and
 are stored as mmap-able ``.rpk`` packs (:mod:`repro.pack`),
 ``<kind>_<key>.rpk``, in the same directory and under the same
-hit/miss/corrupt accounting (:meth:`JsonCache.get_pack`).
+hit/miss/corrupt accounting (:meth:`JsonCache.get_pack`). That
+accounting is the ``cache_*`` counters of the cache's
+:class:`~repro.perf.PerfCounters`; a corrupt artifact is also a
+``cache_corrupt`` journal event when a journal is attached to them.
 
 This module was promoted out of the benchmark harness so the CLI,
 examples and tests all share one cache. The default location is
@@ -27,6 +30,8 @@ import os
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, TypeVar, Union
+
+from repro.perf import PerfCounters
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -89,7 +94,7 @@ def content_key(payload: Any, length: int = 16, versioned: bool = True) -> str:
 
 
 class JsonCache:
-    """A directory of ``<kind>_<key>.json`` artifacts with hit/miss stats.
+    """A directory of ``<kind>_<key>.json`` artifacts with hit/miss counters.
 
     The same directory also holds ``<kind>_<key>.rpk`` packs, read
     through :meth:`get_pack` with the same accounting; the compile
@@ -101,8 +106,9 @@ class JsonCache:
     renames it over the final path — last writer wins with a complete
     artifact. Orphaned ``*.tmp`` files from crashed writers are swept
     on construction. A truncated or otherwise corrupt artifact is
-    treated as a miss: the bad file is unlinked and counted in
-    ``corrupt`` (and the ``cache_corrupt`` perf counter).
+    treated as a miss: the bad file is unlinked and reported through
+    ``perf.event("cache_corrupt")``, which bumps ``cache_corrupt`` and
+    journals the path.
 
     Parameters
     ----------
@@ -110,16 +116,18 @@ class JsonCache:
         Cache root; created lazily on first :meth:`put`. ``None`` uses
         :func:`default_cache_dir`.
     perf:
-        Optional :class:`~repro.perf.PerfCounters` receiving
-        ``cache_hits`` / ``cache_misses`` / ``cache_corrupt``.
+        :class:`~repro.perf.PerfCounters` receiving ``cache_hits`` /
+        ``cache_misses`` / ``cache_corrupt`` (and ``cache_corrupt``
+        events); the cache owns a fresh one when none is given.
     """
 
-    def __init__(self, directory: Optional[Union[str, Path]] = None, perf=None):
+    def __init__(
+        self,
+        directory: Optional[Union[str, Path]] = None,
+        perf: Optional[PerfCounters] = None,
+    ):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.perf = perf
+        self.perf = perf if perf is not None else PerfCounters()
         self.sweep_orphans()
 
     # ------------------------------------------------------------------
@@ -148,11 +156,6 @@ class JsonCache:
     def path(self, kind: str, key: str) -> Path:
         """File path of an artifact (may not exist yet)."""
         return self.directory / f"{kind}_{key}.json"
-
-    def _count_miss(self) -> None:
-        self.misses += 1
-        if self.perf is not None:
-            self.perf.incr(cache_misses=1)
 
     def pack_path(self, kind: str, key: str) -> Path:
         """File path of a packed artifact (may not exist yet)."""
@@ -195,7 +198,7 @@ class JsonCache:
 
     def _load(self, path: Path, read: Callable[[Path], T], errors) -> Optional[T]:
         if not path.exists():
-            self._count_miss()
+            self.perf.incr(cache_misses=1)
             return None
         try:
             doc = read(path)
@@ -203,20 +206,18 @@ class JsonCache:
             if isinstance(exc, FileNotFoundError) or isinstance(
                 exc.__cause__, FileNotFoundError
             ):
-                self._count_miss()
+                self.perf.incr(cache_misses=1)
                 return None
-            self.corrupt += 1
-            if self.perf is not None:
-                self.perf.incr(cache_corrupt=1)
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - raced with another reader
                 pass
-            self._count_miss()
+            self.perf.event(
+                "cache_corrupt", {"cache_corrupt": 1, "cache_misses": 1},
+                path=str(path), error=f"{type(exc).__name__}: {exc}",
+            )
             return None
-        self.hits += 1
-        if self.perf is not None:
-            self.perf.incr(cache_hits=1)
+        self.perf.incr(cache_hits=1)
         return doc
 
     def put(self, kind: str, key: str, doc: Dict[str, Any]) -> Path:
@@ -288,6 +289,6 @@ class JsonCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"JsonCache({str(self.directory)!r}, hits={self.hits}, "
-            f"misses={self.misses})"
+            f"JsonCache({str(self.directory)!r}, "
+            f"hits={self.perf.cache_hits}, misses={self.perf.cache_misses})"
         )

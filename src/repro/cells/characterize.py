@@ -600,7 +600,6 @@ def characterize_library(
     max_retries: int = 0,
     task_timeout: Optional[float] = None,
     quarantine_budget: Optional[int] = 0,
-    journal=None,
     surrogate=None,
 ) -> LibraryCharacterization:
     """Characterize many arcs of a library in one sweep.
@@ -645,9 +644,6 @@ def characterize_library(
         raises :class:`~repro.errors.CharacterizationError` (0 — the
         default — keeps the historical fail-fast behavior; ``None``
         never fails on quarantine alone).
-    journal:
-        Optional :class:`~repro.journal.RunJournal` receiving task,
-        checkpoint and quarantine events.
     surrogate:
         Optional :class:`repro.surrogate.SurrogateConfig` switching
         arcs to active-learning GP characterization
@@ -663,6 +659,9 @@ def characterize_library(
 
     if surrogate is not None and not getattr(surrogate, "enabled", True):
         surrogate = None
+    # Task, checkpoint and quarantine events (and the counters behind
+    # them) go to the engine's counters, journaled when one is attached.
+    perf = getattr(characterizer.engine, "perf", None) or PerfCounters()
     out = LibraryCharacterization()
     slews_arr, loads_arr = validate_grid_axes(slews, loads)
     names = list(cells) if cells is not None else library.names
@@ -686,12 +685,11 @@ def characterize_library(
                         record = cache.get("arc", key)
                         if record is not None:
                             out.put(table_from_dict(record))
-                            if journal is not None:
-                                journal.event(
-                                    "checkpoint_restore", key=key,
-                                    arc=[cell.name, pin,
-                                         "rise" if rising else "fall"],
-                                )
+                            perf.event(
+                                "checkpoint_restore", key=key,
+                                arc=[cell.name, pin,
+                                     "rise" if rising else "fall"],
+                            )
                             continue
                 pending.append((cell, pin, rising, key))
 
@@ -702,8 +700,7 @@ def characterize_library(
         # dense path's would; the dense machinery below then no-ops.
         _surrogate_characterize_pending(
             characterizer, pending, slews_arr, loads_arr, n_samples,
-            workers, cache, surrogate, out, max_retries, task_timeout,
-            journal,
+            workers, cache, surrogate, out, max_retries, task_timeout, perf,
         )
         pending = []
 
@@ -730,7 +727,6 @@ def characterize_library(
     labels = [
         "/".join(str(p) for p in t["arc"]) + f"[{t['i']},{t['j']}]" for t in tasks
     ]
-    perf = getattr(characterizer.engine, "perf", None)
     checkpoint_keys = {
         (cell.name, pin, "rise" if rising else "fall"): key
         for cell, pin, rising, key in pending
@@ -753,20 +749,18 @@ def characterize_library(
             # poisoned checkpoint would be restored forever.
             if lint_characterization(table).ok:
                 cache.put("arc", key, table_to_dict(table))
-                if journal is not None:
-                    journal.event("checkpoint", key=key, arc=list(arc_key))
+                perf.event("checkpoint", key=key, arc=list(arc_key))
 
     def _on_point(index: int, res: dict) -> None:
         arc_key = tuple(res["arc"])
-        if perf is not None:
-            # Per-arc wall-time / sample attribution: the point's own
-            # engine already timed its "simulate" stage.
-            point_wall = res.get("perf", {}).get("wall_s", {})
-            perf.add_arc(
-                "/".join(str(p) for p in arc_key),
-                wall_s=float(point_wall.get("simulate", 0.0)),
-                samples=int(res.get("n_samples", n_samples)),
-            )
+        # Per-arc wall-time / sample attribution: the point's own
+        # engine already timed its "simulate" stage.
+        point_wall = res.get("perf", {}).get("wall_s", {})
+        perf.add_arc(
+            "/".join(str(p) for p in arc_key),
+            wall_s=float(point_wall.get("simulate", 0.0)),
+            samples=int(res.get("n_samples", n_samples)),
+        )
         bucket = collected.setdefault(arc_key, [])
         bucket.append(res)
         if len(bucket) == points_per_arc:
@@ -777,14 +771,14 @@ def characterize_library(
         results = parallel_map(
             _characterize_point, tasks, workers=workers,
             policy=RetryPolicy(max_retries=max_retries, task_timeout=task_timeout),
-            quarantine=quarantined_points, journal=journal, labels=labels,
+            quarantine=quarantined_points, labels=labels,
             on_result=_on_point, perf=perf,
         )
     finally:
         for bank in banks:
             bank.close()
     for res in results:
-        if res is not None and perf is not None:
+        if res is not None:
             perf.merge(PerfCounters.from_dict(res["perf"]))
             perf.incr(points_simulated=1)
 
@@ -804,8 +798,7 @@ def characterize_library(
             )
     for arc, record in bad_arcs.items():
         out.quarantined.append(record)
-        if journal is not None:
-            journal.event("arc_quarantine", **record.as_dict())
+        perf.event("arc_quarantine", **record.as_dict())
 
     for cell, pin, rising, _key in pending:
         arc_key = (cell.name, pin, "rise" if rising else "fall")
@@ -860,7 +853,7 @@ def _surrogate_characterize_pending(
     out: LibraryCharacterization,
     max_retries: int,
     task_timeout: Optional[float],
-    journal,
+    perf: PerfCounters,
 ) -> None:
     """Characterize pending arcs with the active-learning surrogate.
 
@@ -880,7 +873,6 @@ def _surrogate_characterize_pending(
     from repro.surrogate.active import run_active_learning
 
     engine = characterizer.engine
-    perf = getattr(engine, "perf", None)
     policy = RetryPolicy(max_retries=max_retries, task_timeout=task_timeout)
     n_grid = slews_arr.size * loads_arr.size
 
@@ -907,20 +899,19 @@ def _surrogate_characterize_pending(
             labels = [f"{_label}[{t['i']},{t['j']}]" for t in tasks]
             results = parallel_map(
                 _characterize_point, tasks, workers=workers, policy=policy,
-                quarantine=_q, journal=journal, labels=labels, perf=perf,
+                quarantine=_q, labels=labels, perf=perf,
             )
             if _q:
                 raise _ArcPointFailure(_q[0], len(_q))
             records = {}
             for res in results:
-                if perf is not None:
-                    point_perf = PerfCounters.from_dict(res["perf"])
-                    perf.merge(point_perf)
-                    perf.add_arc(
-                        _label,
-                        wall_s=point_perf.wall_s.get("simulate", 0.0),
-                        samples=n_samples,
-                    )
+                point_perf = PerfCounters.from_dict(res["perf"])
+                perf.merge(point_perf)
+                perf.add_arc(
+                    _label,
+                    wall_s=point_perf.wall_s.get("simulate", 0.0),
+                    samples=n_samples,
+                )
                 records[(res["i"], res["j"])] = res
             return records
 
@@ -928,7 +919,7 @@ def _surrogate_characterize_pending(
         try:
             res = run_active_learning(
                 slews_arr, loads_arr, runner, seed=seed, config=config,
-                reference=reference, n_samples=n_samples, journal=journal,
+                reference=reference, n_samples=n_samples, perf=perf,
                 arc=list(arc_key),
             )
             if res.fallback is not None:
@@ -949,8 +940,7 @@ def _surrogate_characterize_pending(
                 )
                 if res.provenance:
                     table.provenance = res.provenance
-                if perf is not None:
-                    perf.incr(points_simulated=n_grid)
+                perf.incr(points_simulated=n_grid)
             else:
                 table = CharacterizationTable(
                     cell_name=cell.name, pin=pin, output_rising=rising,
@@ -958,11 +948,10 @@ def _surrogate_characterize_pending(
                     quantiles=res.quantiles, out_slew=res.out_slew,
                     n_samples=n_samples, provenance=res.provenance,
                 )
-                if perf is not None:
-                    perf.incr(
-                        points_simulated=len(res.simulated),
-                        points_predicted=n_grid - len(res.simulated),
-                    )
+                perf.incr(
+                    points_simulated=len(res.simulated),
+                    points_predicted=n_grid - len(res.simulated),
+                )
         except _ArcPointFailure as exc:
             record = QuarantinedArc(
                 cell_name=cell.name, pin=pin, edge=edge,
@@ -970,12 +959,10 @@ def _surrogate_characterize_pending(
                 attempts=exc.task.attempts, failed_points=exc.n_failed,
             )
             out.quarantined.append(record)
-            if journal is not None:
-                journal.event("arc_quarantine", **record.as_dict())
+            perf.event("arc_quarantine", **record.as_dict())
             continue
         out.put(table)
         if cache is not None and key is not None:
             if lint_characterization(table).ok:
                 cache.put("arc", key, table_to_dict(table))
-                if journal is not None:
-                    journal.event("checkpoint", key=key, arc=list(arc_key))
+                perf.event("checkpoint", key=key, arc=list(arc_key))

@@ -84,6 +84,42 @@ def table_from_dict(data: dict) -> CharacterizationTable:
         raise CharacterizationError(f"malformed table record: missing {exc}") from exc
 
 
+def characterization_to_dict(
+    charac: LibraryCharacterization, arrays: bool = False
+) -> dict:
+    """A library bundle as one plain-JSON document.
+
+    Inverse of :func:`characterization_from_dict`; ``arrays=True``
+    keeps ndarray leaves as in :func:`table_to_dict`.
+    """
+    doc = {
+        "format": FORMAT,
+        "version": FORMAT_VERSION,
+        "tables": [table_to_dict(t, arrays=arrays) for t in charac.tables.values()],
+    }
+    if any(t.provenance is not None for t in charac.tables.values()):
+        # Top-level marker so readers (and lint) need not scan every
+        # table to learn that surrogate data is present.
+        doc["surrogate"] = True
+    if charac.quarantined:
+        doc["quarantined"] = [q.as_dict() for q in charac.quarantined]
+    return doc
+
+
+def characterization_from_dict(doc: dict, source: str) -> LibraryCharacterization:
+    """Inverse of :func:`characterization_to_dict`; errors name ``source``."""
+    if doc.get("format") != FORMAT:
+        raise CharacterizationError(
+            f"{source} is not a {FORMAT} file (format={doc.get('format')!r})"
+        )
+    out = LibraryCharacterization()
+    for record in doc["tables"]:
+        out.put(table_from_dict(record))
+    for record in doc.get("quarantined", ()):
+        out.quarantined.append(QuarantinedArc.from_dict(record))
+    return out
+
+
 def save_library_characterization(
     charac: LibraryCharacterization, path: Union[str, Path]
 ) -> None:
@@ -101,19 +137,8 @@ def save_library_characterization(
 
         pack_library_characterization(charac, path)
         return
-    doc = {
-        "format": FORMAT,
-        "version": FORMAT_VERSION,
-        "tables": [table_to_dict(t) for t in charac.tables.values()],
-    }
-    if any(t.provenance is not None for t in charac.tables.values()):
-        # Top-level marker so readers (and lint) need not scan every
-        # table to learn that surrogate data is present.
-        doc["surrogate"] = True
-    if charac.quarantined:
-        doc["quarantined"] = [q.as_dict() for q in charac.quarantined]
     with path.open("w") as fh:
-        json.dump(doc, fh)
+        json.dump(characterization_to_dict(charac), fh)
 
 
 def load_library_characterization(path: Union[str, Path]) -> LibraryCharacterization:
@@ -130,14 +155,4 @@ def load_library_characterization(path: Union[str, Path]) -> LibraryCharacteriza
 
         return load_library_characterization_pack(path)
     with path.open() as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
-        raise CharacterizationError(
-            f"{path} is not a {FORMAT} file (format={doc.get('format')!r})"
-        )
-    out = LibraryCharacterization()
-    for record in doc["tables"]:
-        out.put(table_from_dict(record))
-    for record in doc.get("quarantined", ()):
-        out.quarantined.append(QuarantinedArc.from_dict(record))
-    return out
+        return characterization_from_dict(json.load(fh), source=str(path))

@@ -359,7 +359,6 @@ def cmd_serve(args) -> int:
     """Boot the resident STA service over one or more circuits."""
     from repro.cache import JsonCache
     from repro.errors import ReproError
-    from repro.journal import RunJournal
     from repro.serve import DesignRegistry, STAServer, ServeConfig
 
     if args.socket is None and args.host is None:
@@ -371,14 +370,12 @@ def cmd_serve(args) -> int:
     print("Fitting models (cached) ...")
     models = flow.fit_models()
 
-    journal = RunJournal(args.journal) if args.journal else None
     budget = (
         int(args.lru_mb * 1024 * 1024) if args.lru_mb is not None else None
     )
     registry = DesignRegistry(
         cache=JsonCache(args.cache_dir),
         perf=flow.perf,
-        journal=journal,
         budget_bytes=budget,
     )
     for name in args.circuits:
@@ -409,7 +406,7 @@ def cmd_serve(args) -> int:
         default_deadline_s=args.deadline,
         max_scenarios=args.max_scenarios,
     )
-    server = STAServer(registry, config, journal=journal, perf=flow.perf)
+    server = STAServer(registry, config, perf=flow.perf)
 
     def _ready() -> None:
         endpoint = args.socket if args.socket else f"{args.host}:{server.port}"
@@ -433,8 +430,8 @@ def cmd_serve(args) -> int:
         # server that is no longer listening.
         if args.ready_file:
             Path(args.ready_file).unlink(missing_ok=True)
-        if journal is not None:
-            journal.close()
+        if args.journal:
+            flow.perf.journal.close()
     if args.perf:
         _print_perf(flow)
     return 0

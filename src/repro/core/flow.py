@@ -10,21 +10,22 @@
 3. **Analyze** circuits with the statistical STA (Eq. 10).
 
 Characterization is by far the expensive step, so the flow caches its
-artifacts as JSON in ``cache_dir``, keyed by a hash of every knob that
-affects the data (technology, variation, seeds, grids, sample counts).
+artifacts as JSON in ``cache_dir`` (a :class:`~repro.cache.JsonCache`:
+atomic writes, and a corrupt file is recomputed), keyed by a hash of
+every knob that affects the data (technology, variation, seeds, grids,
+sample counts).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache import JsonCache
+from repro.cache import JsonCache, content_key
 from repro.cells.characterize import (
     DEFAULT_LOADS,
     DEFAULT_SLEWS,
@@ -35,8 +36,8 @@ from repro.cells.characterize import (
 from repro.perf import PerfCounters
 from repro.cells.library import CellLibrary, build_default_library
 from repro.cells.liberty import (
-    load_library_characterization,
-    save_library_characterization,
+    characterization_from_dict,
+    characterization_to_dict,
 )
 from repro.core.calibration import CalibratedCellLibrary
 from repro.core.nsigma_cell import NSigmaCellModel
@@ -103,8 +104,10 @@ class DelayCalibrationFlow:
         rewritten as arcs finish.
     journal:
         Optional run journal: a :class:`repro.journal.RunJournal`, or a
-        path to create one at. Receives run/task/checkpoint/quarantine
-        events and perf snapshots (JSONL; lint with ``repro lint``).
+        path to create one at. It is attached to :attr:`perf`, so it
+        receives every event the flow's work emits there: run, task,
+        checkpoint, cache and quarantine events and perf snapshots
+        (JSONL; lint with ``repro lint``).
     kernel:
         Numeric kernel backend for the transient solver (``"numpy"`` or
         ``"cnative"``; see :func:`repro.kernels.select_backend`).
@@ -123,10 +126,14 @@ class DelayCalibrationFlow:
     Attributes
     ----------
     perf:
-        :class:`~repro.perf.PerfCounters` with per-stage wall times
-        (``characterize`` / ``fit_models`` / ``analyze``); solver-level
-        counters accumulate on ``engine.perf`` — see :meth:`perf_report`
-        for the merged view.
+        The flow's one :class:`~repro.perf.PerfCounters` (its engine's):
+        solver work, per-stage wall times (``characterize`` /
+        ``fit_models`` / ``analyze``), cache and task counters, and the
+        journal (``perf.journal``) when one is given.
+    cache:
+        The :class:`~repro.cache.JsonCache` over ``cache_dir`` (``None``
+        without one) holding arc checkpoints and the
+        ``charac_<key>.json`` / ``models_<key>.json`` bundles.
     """
 
     def __init__(
@@ -179,10 +186,14 @@ class DelayCalibrationFlow:
         self.engine = MonteCarloEngine(
             self.tech, self.variation, seed=self.seed, kernel=self.kernel
         )
-        self.perf = PerfCounters()
-        if journal is not None and not isinstance(journal, RunJournal):
+        self.perf = self.engine.perf
+        if isinstance(journal, (str, os.PathLike)):
             journal = RunJournal(journal)
-        self.journal: Optional[RunJournal] = journal
+        self.perf.journal = journal
+        self.cache = (
+            JsonCache(self.cache_dir, perf=self.perf)
+            if self.cache_dir is not None else None
+        )
 
         self._charac: Optional[LibraryCharacterization] = None
         self._models: Optional[TimingModels] = None
@@ -190,7 +201,8 @@ class DelayCalibrationFlow:
     # ------------------------------------------------------------------
     # Caching
     # ------------------------------------------------------------------
-    def _cache_key(self) -> str:
+    def _cache_key(self, kind: str = "charac") -> str:
+        """Content key of the flow's ``charac`` or ``models`` bundle."""
         from repro import __version__
         from repro.kernels import backend_identity
 
@@ -212,24 +224,18 @@ class DelayCalibrationFlow:
         # bit-identical to pre-surrogate releases.
         if self.surrogate is not None:
             doc["surrogate"] = self.surrogate.identity()
-        payload = json.dumps(doc, sort_keys=True)
-        return hashlib.md5(payload.encode()).hexdigest()[:16]
-
-    def _cache_path(self, kind: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        key = self._cache_key()
+        # version_salt() reads the environment's kernel, not this flow's,
+        # so backend_identity(self.kernel) stays in the payload.
+        key = content_key(doc)
+        # The Table I fit reads nsigma_fit_samples; the tables do not.
         if kind == "models" and self.nsigma_fit_samples:
             key = f"{key}_n{self.nsigma_fit_samples}"
-        return self.cache_dir / f"{kind}_{key}.json"
+        return key
 
     # ------------------------------------------------------------------
     def perf_report(self) -> PerfCounters:
-        """Merged performance counters: stage wall times + solver work."""
-        merged = PerfCounters()
-        merged.merge(self.engine.perf)
-        merged.merge(self.perf)
-        return merged
+        """A snapshot of the flow's counters: stage wall times + solver work."""
+        return PerfCounters().merge(self.perf)
 
     # ------------------------------------------------------------------
     # Steps
@@ -243,30 +249,37 @@ class DelayCalibrationFlow:
         ``max_retries`` are quarantined (journal + RUN001 lint) and the
         run fails only when ``quarantine_budget`` is exceeded.
         """
+        from repro.errors import CharacterizationError
+        from repro.lint import lint_characterization
+
         if self._charac is not None:
             return self._charac
-        path = self._cache_path("charac")
-        if path is not None and path.exists() and self.resume:
-            self._charac = load_library_characterization(path)
-            self._lint_charac(self._charac)
-            return self._charac
+        key = self._cache_key()
+        if self.cache is not None and self.resume:
+            doc = self.cache.get("charac", key)
+            if doc is not None:
+                self._charac = characterization_from_dict(
+                    doc, source=str(self.cache.path("charac", key))
+                )
+                # Tables read from disk are linted here; fresh ones were
+                # linted by characterize_library.
+                lint_characterization(self._charac).raise_if_errors(
+                    CharacterizationError, context="library characterization"
+                )
+                return self._charac
         characterizer = ArcCharacterizer(self.engine)
-        arc_cache = (
-            JsonCache(self.cache_dir, perf=self.perf)
-            if self.cache_dir is not None else None
+        self.perf.event(
+            "run_start",
+            command="characterize", key=key,
+            seed=self.seed, n_samples=self.n_samples,
+            cells=list(self.cell_names), workers=self.workers,
+            max_retries=self.max_retries, task_timeout=self.task_timeout,
+            quarantine_budget=self.quarantine_budget, resume=self.resume,
+            surrogate=(
+                self.surrogate.identity()
+                if self.surrogate is not None else None
+            ),
         )
-        if self.journal is not None:
-            self.journal.run_start(
-                command="characterize", key=self._cache_key(),
-                seed=self.seed, n_samples=self.n_samples,
-                cells=list(self.cell_names), workers=self.workers,
-                max_retries=self.max_retries, task_timeout=self.task_timeout,
-                quarantine_budget=self.quarantine_budget, resume=self.resume,
-                surrogate=(
-                    self.surrogate.identity()
-                    if self.surrogate is not None else None
-                ),
-            )
         try:
             with self.perf.timer("characterize"):
                 self._charac = characterize_library(
@@ -278,41 +291,30 @@ class DelayCalibrationFlow:
                     n_samples=self.n_samples,
                     both_edges=self.both_edges,
                     workers=self.workers,
-                    cache=arc_cache,
+                    cache=self.cache,
                     resume=self.resume,
                     max_retries=self.max_retries,
                     task_timeout=self.task_timeout,
                     quarantine_budget=self.quarantine_budget,
-                    journal=self.journal,
                     surrogate=self.surrogate,
                 )
         except BaseException as exc:
-            if self.journal is not None:
-                self.journal.run_finish(
-                    status="error", error_type=type(exc).__name__,
-                    message=str(exc),
-                )
-            raise
-        if path is not None:
-            save_library_characterization(self._charac, path)
-        self._lint_charac(self._charac)
-        if self.journal is not None:
-            self.journal.perf_snapshot(self.perf_report(), stage="characterize")
-            self.journal.run_finish(
-                status="ok", arcs=len(self._charac),
-                quarantined=len(self._charac.quarantined),
+            self.perf.event(
+                "run_finish", status="error", error_type=type(exc).__name__,
+                message=str(exc),
             )
-        return self._charac
-
-    @staticmethod
-    def _lint_charac(charac: LibraryCharacterization) -> None:
-        """Fail fast when characterization tables violate lint invariants."""
-        from repro.errors import CharacterizationError
-        from repro.lint import lint_characterization
-
-        lint_characterization(charac).raise_if_errors(
-            CharacterizationError, context="library characterization"
+            raise
+        if self.cache is not None:
+            self.cache.put("charac", key, characterization_to_dict(self._charac))
+        self.perf.event(
+            "perf_snapshot", stage="characterize",
+            counters=self.perf.to_dict(),
         )
+        self.perf.event(
+            "run_finish", status="ok", arcs=len(self._charac),
+            quarantined=len(self._charac.quarantined),
+        )
+        return self._charac
 
     def fit_models(self) -> TimingModels:
         """Fit all models (cached as one JSON bundle)."""
@@ -322,10 +324,9 @@ class DelayCalibrationFlow:
         with self.perf.timer("fit_models"):
             calibrated = CalibratedCellLibrary.fit(charac)
 
-            path = self._cache_path("models")
-            if path is not None and path.exists():
-                with path.open() as fh:
-                    doc = json.load(fh)
+            key = self._cache_key("models")
+            doc = self.cache.get("models", key) if self.cache is not None else None
+            if doc is not None:
                 nsigma = NSigmaCellModel.from_dict(doc["nsigma"])
                 wire = WireVariabilityModel.from_dict(doc["wire"])
                 stage_rho = float(doc.get("stage_correlation", 1.0))
@@ -337,17 +338,12 @@ class DelayCalibrationFlow:
                 stage_rho = estimate_stage_correlation(
                     self.engine, self.library,
                     n_samples=max(600, self.n_samples))
-                if path is not None:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    with path.open("w") as fh:
-                        json.dump(
-                            {
-                                "nsigma": nsigma.to_dict(),
-                                "wire": wire.to_dict(),
-                                "stage_correlation": stage_rho,
-                            },
-                            fh,
-                        )
+                if self.cache is not None:
+                    self.cache.put("models", key, {
+                        "nsigma": nsigma.to_dict(),
+                        "wire": wire.to_dict(),
+                        "stage_correlation": stage_rho,
+                    })
         from repro.errors import CalibrationError
         from repro.lint import lint_nsigma_model
 

@@ -527,7 +527,7 @@ def compile_design(
     every digest verified (:func:`~repro.pack.load_compiled_design`),
     so its tensors are read-only zero-copy views and ``design.pack``
     holds the mapping. A pack that fails to open is unlinked, counted
-    in ``cache.corrupt`` and rebuilt. A loaded design is run through
+    as ``cache_corrupt`` and rebuilt. A loaded design is run through
     the ``NSM003`` drift lint (:func:`repro.lint.lint_compiled_design`)
     and rebuilt — never served — when its packed tensors disagree with
     the current calibration.

@@ -8,6 +8,13 @@ checkpoint, and how the perf counters evolved. :class:`RunJournal`
 appends one JSON object per line to a journal file as events occur, so
 a killed process leaves a readable prefix rather than a corrupt blob.
 
+Code does not write to a journal directly. A journal is attached to the
+run's :class:`~repro.perf.PerfCounters` (``perf.journal``), and every
+happening goes through one call, :meth:`PerfCounters.event
+<repro.perf.PerfCounters.event>`, which bumps the happening's counters
+and appends its line here. The journal, the counters and the server's
+``/stats`` are three views of the same calls.
+
 Event vocabulary (the ``event`` field):
 
 ``run_start`` / ``run_finish``
@@ -29,8 +36,10 @@ Event vocabulary (the ``event`` field):
 ``checkpoint`` / ``checkpoint_restore``
     An arc table was persisted to / restored from the artifact cache.
 ``cache_corrupt``
-    A cached artifact failed to parse and was unlinked (demoted to a
-    miss).
+    A cached artifact (:class:`repro.cache.JsonCache`: an arc
+    checkpoint, the flow's characterization or model bundle, a compile
+    pack) failed to parse or validate and was unlinked (demoted to a
+    miss); carries the ``path`` and the ``error``.
 ``pack_write`` / ``pack_load`` / ``pack_verify``
     Packed binary artifacts (:mod:`repro.pack`): an ``.rpk`` written
     (path, kind, size, segment count), one opened by ``mmap`` (with its
@@ -76,6 +85,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Union
 
+#: Run-bracket events; each carries the journal's ``run_id``.
+RUN_BRACKET = frozenset({"run_start", "run_finish"})
+
 #: Known event names (lint flags anything else as RUN002).
 KNOWN_EVENTS = frozenset({
     "run_start",
@@ -119,8 +131,9 @@ class RunJournal:
         append mode, so an interrupted run's journal survives and the
         resume run's events stack after it.
     run_id:
-        Free-form identifier written into every ``run_start`` event
-        (e.g. the flow cache key); purely informational.
+        Free-form identifier written into every ``run_start`` and
+        ``run_finish`` event (e.g. the flow cache key); purely
+        informational.
     """
 
     def __init__(self, path: Union[str, Path], run_id: str = ""):
@@ -147,6 +160,8 @@ class RunJournal:
                 "t_s": round(time.perf_counter() - self._t0, 6),
                 "event": name,
             }
+            if name in RUN_BRACKET:
+                record["run_id"] = self.run_id
             record.update(fields)
             if self._fh is None:
                 raise ValueError(f"journal {self.path} is closed")
@@ -159,11 +174,11 @@ class RunJournal:
 
     def run_start(self, **config: Any) -> Dict[str, Any]:
         """Emit the run bracket opener with the run configuration."""
-        return self.event("run_start", run_id=self.run_id, **config)
+        return self.event("run_start", **config)
 
     def run_finish(self, status: str = "ok", **totals: Any) -> Dict[str, Any]:
         """Emit the run bracket closer (``status``: ``ok`` / ``error``)."""
-        return self.event("run_finish", run_id=self.run_id, status=status, **totals)
+        return self.event("run_finish", status=status, **totals)
 
     def perf_snapshot(self, counters, stage: str = "") -> Dict[str, Any]:
         """Emit a :class:`~repro.perf.PerfCounters` snapshot."""

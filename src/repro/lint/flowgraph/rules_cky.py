@@ -95,22 +95,23 @@ class CacheKeySpec:
 #: The shipped specs. Allowlist rationale (one claim per entry):
 #: - engine/library: constructed in __init__ purely from salted knobs
 #:   (tech, variation, seed, kernel) — their identity is the knobs'.
-#: - perf/journal: observability side-channels; never feed results.
+#: - perf: observability side-channel (counters and the journal
+#:   attached to them); never feeds results.
 #: - workers/max_retries/task_timeout/quarantine_budget/resume:
 #:   fault-tolerance and fan-out knobs; results are bit-identical for
 #:   any value by the PR1/PR4 worker-count-invariance contract.
-#: - cache_dir: where artifacts live, not what they contain.
+#: - cache: where artifacts live, not what they contain.
 #: - _charac/_models: memo slots for the producers' own outputs.
-#: - nsigma_fit_samples: incorporated via the _cache_path suffix.
+#: - nsigma_fit_samples: incorporated via the _cache_key("models") suffix.
 DEFAULT_SPECS: Tuple[CacheKeySpec, ...] = (
     CacheKeySpec(
         class_name="DelayCalibrationFlow",
         producers=("characterize", "fit_models"),
-        key_methods=("_cache_key", "_cache_path"),
+        key_methods=("_cache_key",),
         allowed=frozenset({
-            "engine", "library", "perf", "journal",
+            "engine", "library", "perf",
             "workers", "max_retries", "task_timeout",
-            "quarantine_budget", "resume", "cache_dir",
+            "quarantine_budget", "resume", "cache",
             "_charac", "_models",
         }),
     ),

@@ -193,14 +193,14 @@ def write_pack(
     doc: Dict[str, Any],
     meta: Optional[Dict[str, Any]] = None,
     perf=None,
-    journal=None,
 ) -> Path:
     """Serialize ``doc`` (a dict tree with ndarray leaves) to ``path``.
 
     The write is atomic in the :meth:`repro.cache.JsonCache.put` style:
     a process-unique ``*.tmp`` sibling is written, fsynced, and renamed
     over the final path, so readers never observe a torn pack. Emits a
-    ``pack_write`` journal event and bumps the ``pack_writes`` counter.
+    ``pack_write`` event on ``perf`` (the ``pack_writes`` counter and
+    its journal line).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -262,10 +262,8 @@ def write_pack(
     _write_atomic(path, fill)
 
     if perf is not None:
-        perf.incr(pack_writes=1)
-    if journal is not None:
-        journal.event(
-            "pack_write",
+        perf.event(
+            "pack_write", {"pack_writes": 1},
             path=str(path),
             kind=kind,
             nbytes=file_len,
@@ -324,7 +322,6 @@ class PackFile:
         path: Union[str, Path],
         verify: bool = True,
         perf=None,
-        journal=None,
     ) -> "PackFile":
         """mmap ``path`` and validate it (header always; digests if ``verify``).
 
@@ -332,8 +329,8 @@ class PackFile:
         failure — the manifest is not even JSON-parsed until the header
         magic, version, endianness canary, truncation sentinel and
         manifest digest all check out, so corrupt bytes can never reach
-        a deserializer. Bumps ``pack_loads`` and journals ``pack_load``
-        on success.
+        a deserializer. Emits a ``pack_load`` event on ``perf`` (the
+        ``pack_loads`` counter and its journal line) on success.
         """
         path = Path(path)
         try:
@@ -355,12 +352,10 @@ class PackFile:
             mm.close()
             raise
         if verify:
-            pack.verify(perf=perf, journal=journal)
+            pack.verify(perf=perf)
         if perf is not None:
-            perf.incr(pack_loads=1)
-        if journal is not None:
-            journal.event(
-                "pack_load",
+            perf.event(
+                "pack_load", {"pack_loads": 1},
                 path=str(path),
                 kind=pack.kind,
                 identity=pack.identity(),
@@ -448,12 +443,13 @@ class PackFile:
         return cls(path, mm, manifest, digest.hexdigest())
 
     # ------------------------------------------------------------------
-    def verify(self, perf=None, journal=None) -> None:
+    def verify(self, perf=None) -> None:
         """Re-hash every segment against its recorded sha256.
 
         Raises :class:`PackError` (``code="digest"``) naming the first
-        mismatching segment. Bumps ``pack_verifies`` and journals
-        ``pack_verify`` with the outcome.
+        mismatching segment. Emits a ``pack_verify`` event on ``perf``
+        (the ``pack_verifies`` counter and a journal line with the
+        outcome).
         """
         error: Optional[PackError] = None
         for i, record in enumerate(self.segments):
@@ -468,10 +464,8 @@ class PackFile:
                 )
                 break
         if perf is not None:
-            perf.incr(pack_verifies=1)
-        if journal is not None:
-            journal.event(
-                "pack_verify",
+            perf.event(
+                "pack_verify", {"pack_verifies": 1},
                 path=str(self.path),
                 kind=self.kind,
                 ok=error is None,
@@ -564,7 +558,6 @@ def pack_compiled_design(
     path: Union[str, Path],
     design_key: str = "",
     perf=None,
-    journal=None,
 ) -> Path:
     """Write a :class:`~repro.core.sta_compiled.CompiledDesign` pack.
 
@@ -586,7 +579,6 @@ def pack_compiled_design(
         design.to_dict(),
         meta=meta,
         perf=perf,
-        journal=journal,
     )
 
 
@@ -595,7 +587,6 @@ def load_compiled_design(
     verify: bool = True,
     expected_key: Optional[str] = None,
     perf=None,
-    journal=None,
 ):
     """mmap a compiled-design pack into a zero-copy ``CompiledDesign``.
 
@@ -607,7 +598,7 @@ def load_compiled_design(
     """
     from repro.core.sta_compiled import CompiledDesign
 
-    pf = PackFile.open(path, verify=verify, perf=perf, journal=journal)
+    pf = PackFile.open(path, verify=verify, perf=perf)
     if pf.kind != COMPILED_DESIGN_KIND:
         raise PackError(
             f"{path}: pack kind {pf.kind!r} is not a compiled design",
@@ -629,7 +620,6 @@ def pack_library_characterization(
     charac,
     path: Union[str, Path],
     perf=None,
-    journal=None,
 ) -> Path:
     """Write a library characterization bundle as a pack.
 
@@ -637,26 +627,17 @@ def pack_library_characterization(
     (same document schema) with the per-arc tables' index/moment/
     quantile grids as binary segments.
     """
-    from repro.cells.liberty import FORMAT, FORMAT_VERSION, table_to_dict
+    from repro.cells.liberty import characterization_to_dict
 
-    doc: Dict[str, Any] = {
-        "format": FORMAT,
-        "version": FORMAT_VERSION,
-        "tables": [table_to_dict(t, arrays=True) for t in charac.tables.values()],
-    }
-    if any(t.provenance is not None for t in charac.tables.values()):
-        doc["surrogate"] = True
-    if charac.quarantined:
-        doc["quarantined"] = [q.as_dict() for q in charac.quarantined]
+    doc = characterization_to_dict(charac, arrays=True)
     meta = {"artifact": LIBRARY_KIND, "n_tables": len(charac.tables)}
-    return write_pack(path, LIBRARY_KIND, doc, meta=meta, perf=perf, journal=journal)
+    return write_pack(path, LIBRARY_KIND, doc, meta=meta, perf=perf)
 
 
 def load_library_characterization_pack(
     path: Union[str, Path],
     verify: bool = True,
     perf=None,
-    journal=None,
 ):
     """mmap a library pack into a ``LibraryCharacterization``.
 
@@ -665,10 +646,9 @@ def load_library_characterization_pack(
     publication short-circuit to the mmap'd file instead of copying the
     payload into POSIX shared memory.
     """
-    from repro.cells.characterize import LibraryCharacterization, QuarantinedArc
-    from repro.cells.liberty import FORMAT, table_from_dict
+    from repro.cells.liberty import FORMAT, characterization_from_dict
 
-    pf = PackFile.open(path, verify=verify, perf=perf, journal=journal)
+    pf = PackFile.open(path, verify=verify, perf=perf)
     if pf.kind != LIBRARY_KIND:
         raise PackError(
             f"{path}: pack kind {pf.kind!r} is not a library "
@@ -682,11 +662,7 @@ def load_library_characterization_pack(
             f"not {FORMAT!r}",
             code="manifest",
         )
-    out = LibraryCharacterization()
-    for record in doc["tables"]:
-        out.put(table_from_dict(record))
-    for record in doc.get("quarantined", ()):
-        out.quarantined.append(QuarantinedArc.from_dict(record))
+    out = characterization_from_dict(doc, source=str(path))
     out.pack = pf
     return out
 

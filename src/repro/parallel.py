@@ -67,6 +67,7 @@ from typing import (
 )
 
 from repro.errors import ExecutionError, TaskTimeoutError
+from repro.perf import PerfCounters
 
 #: Environment variable consulted when ``workers`` is not passed explicitly.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -686,7 +687,6 @@ def parallel_map(
     chunksize: int = 1,
     policy: Optional[RetryPolicy] = None,
     quarantine: Optional[List[QuarantinedTask]] = None,
-    journal=None,
     labels: Optional[Sequence[str]] = None,
     on_result: Optional[Callable[[int, R], None]] = None,
     perf=None,
@@ -718,12 +718,6 @@ def parallel_map(
         first failed task's exception propagates (in task order), with
         :class:`~repro.errors.ExecutionError` standing in for worker
         deaths and unpicklable exceptions.
-    journal:
-        Optional :class:`~repro.journal.RunJournal` receiving
-        ``task_start`` / ``task_finish`` / ``task_retry`` /
-        ``task_quarantine`` / ``pool_crash`` events as tasks are
-        dispatched and complete (a task re-dispatched after a worker
-        death gets a second ``task_start``).
     labels:
         Optional per-task labels used in journal events and
         quarantine records (default: the task index).
@@ -733,18 +727,23 @@ def parallel_map(
         under a pool. Checkpointing hooks (e.g. persisting a finished
         arc) live here.
     perf:
-        Optional :class:`~repro.perf.PerfCounters` accumulating
-        ``task_retries`` / ``task_quarantines`` / ``pool_crashes``.
+        Optional :class:`~repro.perf.PerfCounters` receiving the
+        ``task_start`` / ``task_finish`` / ``task_retry`` /
+        ``task_quarantine`` / ``pool_crash`` events as tasks are
+        dispatched and complete (a task re-dispatched after a worker
+        death gets a second ``task_start``): they count
+        ``task_retries`` / ``task_quarantines`` / ``pool_crashes`` and
+        are journaled when a journal is attached.
     """
     tasks = list(tasks)
     workers = resolve_workers(workers)
     policy = policy or RetryPolicy()
+    perf = perf if perf is not None else PerfCounters()
     if (
         policy.task_timeout
-        and journal is not None
         and not hasattr(signal, "SIGALRM")
     ):  # pragma: no cover - exercised via monkeypatched signal module
-        journal.event(
+        perf.event(
             "timeout_unsupported",
             detail="SIGALRM unavailable; task_timeout attempts run unbounded",
         )
@@ -757,37 +756,31 @@ def parallel_map(
     def emit(outcome: _Outcome) -> None:
         outcomes[outcome.index] = outcome
         i = outcome.index
-        if perf is not None:
-            perf.incr(task_retries=outcome.attempts - 1)
-        if journal is not None:
-            for f in outcome.failures[: outcome.attempts - 1 + (0 if outcome.ok else 1)]:
-                if f.attempt <= policy.max_retries:
-                    journal.event(
-                        "task_retry", task=i, label=label_of(i),
-                        attempt=f.attempt, error_type=f.error_type,
-                        message=f.message,
-                    )
-            if outcome.ok:
-                journal.event(
-                    "task_finish", task=i, label=label_of(i),
-                    attempts=outcome.attempts, wall_s=round(outcome.wall_s, 6),
+        # Every failed attempt but a quarantined task's last was retried.
+        for f in outcome.failures:
+            if f.attempt <= policy.max_retries:
+                perf.event(
+                    "task_retry", {"task_retries": 1}, task=i,
+                    label=label_of(i), attempt=f.attempt,
+                    error_type=f.error_type, message=f.message,
                 )
+        if outcome.ok:
+            perf.event(
+                "task_finish", task=i, label=label_of(i),
+                attempts=outcome.attempts, wall_s=round(outcome.wall_s, 6),
+            )
         if outcome.ok and on_result is not None:
             on_result(i, outcome.result)
 
     def on_pool_crash(idxs: List[int], crashes: int) -> None:
-        if perf is not None:
-            perf.incr(pool_crashes=1)
-        if journal is not None:
-            journal.event(
-                "pool_crash", tasks=idxs,
-                labels=[label_of(i) for i in idxs], crash_count=crashes,
-            )
+        perf.event(
+            "pool_crash", {"pool_crashes": 1}, tasks=idxs,
+            labels=[label_of(i) for i in idxs], crash_count=crashes,
+        )
 
     def on_start(idxs: List[int]) -> None:
-        if journal is not None:
-            for i in idxs:
-                journal.event("task_start", task=i, label=label_of(i))
+        for i in idxs:
+            perf.event("task_start", task=i, label=label_of(i))
 
     if workers <= 1 or len(tasks) <= 1:
         _run_serial(loop, tasks, range(len(tasks)), emit, on_start)
@@ -816,10 +809,7 @@ def parallel_map(
                 f"{record.error_type}: {record.message}"
             )
         quarantine.append(record)
-        if perf is not None:
-            perf.incr(task_quarantines=1)
-        if journal is not None:
-            journal.event("task_quarantine", **record.as_dict())
+        perf.event("task_quarantine", {"task_quarantines": 1}, **record.as_dict())
     return results
 
 

@@ -8,6 +8,15 @@ iteration, so the overhead is negligible next to one batched linear
 solve while keeping concurrent updates (shared-memory publication and
 result draining run off the main loop) lossless.
 
+The counters are also the one emission path of the run record:
+:meth:`PerfCounters.event` bumps the counters of one happening and, when
+a :class:`~repro.journal.RunJournal` is attached (``perf.journal``),
+appends its journal line. The journal, the counters and the server's
+``/stats`` (which reads :meth:`PerfCounters.to_dict`) therefore cannot
+drift apart. The journal never travels with the counters: pickling,
+:meth:`~PerfCounters.to_dict`, :meth:`~PerfCounters.merge`, ``==`` and
+``repr`` all leave it out, so worker round-trips stay plain data.
+
 What is counted and why it matters:
 
 * ``newton_iterations`` / ``linear_solves`` — the raw work of the
@@ -37,7 +46,8 @@ What is counted and why it matters:
 * ``cache_hits`` / ``cache_misses`` / ``cache_corrupt`` — artifact-cache
   traffic (:class:`repro.cache.JsonCache`); ``cache_corrupt`` counts
   truncated/unparseable artifacts that were demoted to misses and
-  unlinked instead of crashing the run.
+  unlinked instead of crashing the run, each one a ``cache_corrupt``
+  event that names the file in the journal.
 * ``pack_writes`` / ``pack_loads`` / ``pack_verifies`` — packed binary
   artifacts (:mod:`repro.pack`): ``.rpk`` files written, opened by
   ``mmap`` (the zero-copy cold-start path of the design registry and
@@ -71,7 +81,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 
 #: Every integer counter, in ``to_dict`` order. ``merge``, ``to_dict``
@@ -99,7 +109,9 @@ class PerfCounters:
 
     The integer counters of :data:`COUNTERS` live in one dict. They
     read as attributes (``perf.sta_levels``) but have no setter:
-    :meth:`incr` is the only way to write one.
+    :meth:`incr` and :meth:`event` are the only ways to write one.
+    ``journal`` is the optional :class:`~repro.journal.RunJournal`
+    that :meth:`event` appends to.
     """
 
     wall_s: Dict[str, float] = field(default_factory=dict)
@@ -109,6 +121,7 @@ class PerfCounters:
     _counts: Dict[str, int] = field(
         init=False, repr=False, default_factory=lambda: dict.fromkeys(COUNTERS, 0)
     )
+    journal: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -130,15 +143,18 @@ class PerfCounters:
         super().__setattr__(name, value)
 
     # Locks don't pickle; recreate one on the receiving side (worker
-    # round-trips serialize counters between processes).
+    # round-trips serialize counters between processes). The journal
+    # (an open file) stays with the process that attached it.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_lock", None)
+        state.pop("journal", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
+        self.journal = None
 
     # ------------------------------------------------------------------
     def incr(self, **counts: int) -> None:
@@ -160,6 +176,23 @@ class PerfCounters:
                 raise AttributeError(
                     f"unknown perf counter {exc.args[0]!r}"
                 ) from None
+
+    def event(
+        self, name: str, counts: Optional[Mapping[str, int]] = None, /,
+        **fields: Any,
+    ) -> None:
+        """Record one happening: bump ``counts``, then journal ``name``.
+
+        ``counts`` are added under the lock exactly as :meth:`incr`
+        adds them (no lock is taken when there are none); the journal
+        line ``name`` with ``fields`` is appended afterwards, outside
+        the lock, when a journal is attached.
+        """
+        if counts:
+            self.incr(**counts)
+        journal = self.journal
+        if journal is not None:
+            journal.event(name, **fields)
 
     def add_kernel_op(self, backend: str, primitive: str, n: int = 1) -> None:
         """Count ``n`` sample-primitive events for ``backend.primitive``."""

@@ -55,7 +55,6 @@ from repro.core.sta_compiled import (
     design_cache_key,
 )
 from repro.errors import ReproError
-from repro.journal import RunJournal
 from repro.netlist.circuit import Circuit
 from repro.perf import PerfCounters
 
@@ -147,12 +146,11 @@ class DesignRegistry:
         it, eviction demotes a design to a pack reload instead of a full
         recompile.
     perf:
-        Shared counters; loads and evictions are recorded under
-        ``sta_serve_design_loads`` / ``sta_serve_evictions`` (and the
-        compiled engines report their own ``sta_*`` query work here).
-    journal:
-        Optional audit journal (``serve_design_load`` / ``serve_evict``
-        events).
+        Shared counters; loads and evictions are ``serve_design_load`` /
+        ``serve_evict`` events on them (counted under
+        ``sta_serve_design_loads`` / ``sta_serve_evictions`` and
+        journaled when a journal is attached), and the compiled engines
+        report their own ``sta_*`` query work here.
     budget_bytes:
         Residency budget; ``None`` disables eviction. The budget bounds
         *tensor residency*, not registration — an evicted design stays
@@ -163,12 +161,10 @@ class DesignRegistry:
         self,
         cache: Optional[JsonCache] = None,
         perf: Optional[PerfCounters] = None,
-        journal: Optional[RunJournal] = None,
         budget_bytes: Optional[int] = None,
     ):
         self.cache = cache
         self.perf = perf if perf is not None else PerfCounters()
-        self.journal = journal
         self.budget_bytes = budget_bytes
         self._lock = threading.RLock()
         self._entries: Dict[str, _Entry] = {}
@@ -245,14 +241,13 @@ class DesignRegistry:
             finally:
                 pack.close()
         except PackError as exc:
-            if self.journal is not None:
-                self.journal.event(
-                    "pack_verify",
-                    path=str(path),
-                    design=name,
-                    ok=False,
-                    error=str(exc),
-                )
+            self.perf.event(
+                "pack_verify",
+                path=str(path),
+                design=name,
+                ok=False,
+                error=str(exc),
+            )
             return False
         with self._lock:
             if self._entries.get(name) is entry:
@@ -275,17 +270,15 @@ class DesignRegistry:
                 verify=True,
                 expected_key=entry.key,
                 perf=self.perf,
-                journal=self.journal,
             )
         except (PackError, OSError) as exc:
-            if self.journal is not None:
-                self.journal.event(
-                    "pack_verify",
-                    path=str(entry.pack_path),
-                    design=entry.name,
-                    ok=False,
-                    error=str(exc),
-                )
+            self.perf.event(
+                "pack_verify",
+                path=str(entry.pack_path),
+                design=entry.name,
+                ok=False,
+                error=str(exc),
+            )
             return None
 
     def names(self) -> List[str]:
@@ -364,20 +357,18 @@ class DesignRegistry:
                 entry.loads += 1
                 self._resident[name] = entry
                 self._resident.move_to_end(name)
-                self.perf.incr(sta_serve_design_loads=1)
-                if self.journal is not None:
-                    self.journal.event(
-                        "serve_design_load",
-                        design=name,
-                        key=entry.key,
-                        nbytes=nbytes,
-                        n_gates=design.n_gates,
-                        n_levels=design.n_levels,
-                        source="pack" if entry.mmap_backed else "compile",
-                        resident_bytes=sum(
-                            e.nbytes for e in self._resident.values()
-                        ),
-                    )
+                self.perf.event(
+                    "serve_design_load", {"sta_serve_design_loads": 1},
+                    design=name,
+                    key=entry.key,
+                    nbytes=nbytes,
+                    n_gates=design.n_gates,
+                    n_levels=design.n_levels,
+                    source="pack" if entry.mmap_backed else "compile",
+                    resident_bytes=sum(
+                        e.nbytes for e in self._resident.values()
+                    ),
+                )
                 self._evict_over_budget(keep=name)
         return engine
 
@@ -400,17 +391,15 @@ class DesignRegistry:
             victim.mmap_backed = False
             freed = victim.nbytes
             victim.nbytes = 0
-            self.perf.incr(sta_serve_evictions=1)
-            if self.journal is not None:
-                self.journal.event(
-                    "serve_evict",
-                    design=victim_name,
-                    key=victim.key,
-                    freed_bytes=freed,
-                    resident_bytes=sum(
-                        e.nbytes for e in self._resident.values()
-                    ),
-                )
+            self.perf.event(
+                "serve_evict", {"sta_serve_evictions": 1},
+                design=victim_name,
+                key=victim.key,
+                freed_bytes=freed,
+                resident_bytes=sum(
+                    e.nbytes for e in self._resident.values()
+                ),
+            )
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -10,13 +10,15 @@ perf updates are locked). Deadlines wrap the executor future in
 ``asyncio.wait_for``: a missed deadline abandons the worker's result
 but answers the client immediately with code ``deadline``.
 
-Every request leaves an audit trail in the :class:`~repro.journal.
-RunJournal` — ``serve_admit`` → ``serve_start`` → ``serve_finish``
-(status ``ok`` / ``deadline`` / ``error``), or ``serve_reject`` when it
-is refused at the door (lint-invalid input, unknown design, full
-queue). Rejection is *validated* refusal: every inbound document runs
-through :func:`repro.lint.lint_serve_request` (rules SRV001–SRV003)
-before anything touches a design.
+Every request leaves an audit trail of events on the server's
+:class:`~repro.perf.PerfCounters` — ``serve_admit`` → ``serve_start``
+→ ``serve_finish`` (status ``ok`` / ``deadline`` / ``error``), or
+``serve_reject`` when it is refused at the door (lint-invalid input,
+unknown design, full queue) — which counts them for ``/stats`` and
+appends them to the :class:`~repro.journal.RunJournal` attached to
+those counters, if any. Rejection is *validated* refusal: every
+inbound document runs through :func:`repro.lint.lint_serve_request`
+(rules SRV001–SRV003) before anything touches a design.
 
 Two transports share one dispatch path:
 
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.journal import RunJournal
 from repro.lint.domain import SERVE_MAX_SCENARIOS, lint_serve_request
 from repro.perf import PerfCounters
 from repro.serve.protocol import (
@@ -95,19 +96,19 @@ class STAServer:
     """Long-lived query server over a :class:`DesignRegistry`.
 
     Construct, :meth:`start` (or :meth:`run` / :meth:`start_in_thread`),
-    query over the unix socket or HTTP, :meth:`stop`.
+    query over the unix socket or HTTP, :meth:`stop`. Request events go
+    to ``perf`` (default: the registry's counters) and to the journal
+    attached to it.
     """
 
     def __init__(
         self,
         registry: DesignRegistry,
         config: Optional[ServeConfig] = None,
-        journal: Optional[RunJournal] = None,
         perf: Optional[PerfCounters] = None,
     ):
         self.registry = registry
         self.config = config if config is not None else ServeConfig()
-        self.journal = journal
         self.perf = perf if perf is not None else registry.perf
         self._ids = itertools.count(1)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -120,8 +121,6 @@ class STAServer:
         self._active = 0
         self._peak_active = 0
         self._served = 0
-        self._rejected = 0
-        self._deadline_missed = 0
         self.port: Optional[int] = None
         # Open connections, so shutdown can drain instead of cancel.
         self._conn_tasks: set = set()
@@ -195,7 +194,7 @@ class STAServer:
             if request.deadline_s is not None
             else self.config.default_deadline_s
         )
-        self._journal(
+        self.perf.event(
             "serve_admit",
             request_id=request_id,
             design=request.design,
@@ -212,15 +211,15 @@ class STAServer:
         self._active += 1
         self._peak_active = max(self._peak_active, self._active)
         try:
-            self._journal(
+            self.perf.event(
                 "serve_start",
+                {
+                    "sta_serve_requests": 1,
+                    "sta_serve_scenarios": request.n_scenarios,
+                },
                 request_id=request_id,
                 design=request.design,
                 n_scenarios=request.n_scenarios,
-            )
-            self.perf.incr(
-                sta_serve_requests=1,
-                sta_serve_scenarios=request.n_scenarios,
             )
             t0 = time.perf_counter()
             future = self._loop.run_in_executor(
@@ -229,10 +228,8 @@ class STAServer:
             try:
                 response = await asyncio.wait_for(future, deadline)
             except asyncio.TimeoutError:
-                self._deadline_missed += 1
-                self.perf.incr(sta_serve_deadline_misses=1)
-                self._journal(
-                    "serve_finish",
+                self.perf.event(
+                    "serve_finish", {"sta_serve_deadline_misses": 1},
                     request_id=request_id,
                     design=request.design,
                     status="deadline",
@@ -245,7 +242,7 @@ class STAServer:
                     request_id=request_id,
                 )
             except Exception as exc:  # worker raised
-                self._journal(
+                self.perf.event(
                     "serve_finish",
                     request_id=request_id,
                     design=request.design,
@@ -263,7 +260,7 @@ class STAServer:
             response.request_id = request_id
             response.served_s = wall
             self._served += 1
-            self._journal(
+            self.perf.event(
                 "serve_finish",
                 request_id=request_id,
                 design=request.design,
@@ -288,17 +285,11 @@ class STAServer:
         )
 
     # ------------------------------------------------------------------
-    def _journal(self, event: str, **fields: Any) -> None:
-        if self.journal is not None:
-            self.journal.event(event, **fields)
-
     def _note_reject(
         self, request_id: str, code: str, design: str = "", **fields: Any
     ) -> None:
-        self._rejected += 1
-        self.perf.incr(sta_serve_rejects=1)
-        self._journal(
-            "serve_reject",
+        self.perf.event(
+            "serve_reject", {"sta_serve_rejects": 1},
             request_id=request_id,
             design=design,
             code=code,
@@ -309,8 +300,8 @@ class STAServer:
         """Live server + registry counters (the ``/stats`` payload)."""
         return {
             "served": self._served,
-            "rejected": self._rejected,
-            "deadline_missed": self._deadline_missed,
+            "rejected": self.perf.sta_serve_rejects,
+            "deadline_missed": self.perf.sta_serve_deadline_misses,
             "waiting": self._waiting,
             "active": self._active,
             "peak_active": self._peak_active,
@@ -487,7 +478,7 @@ class STAServer:
             self.port = http_server.sockets[0].getsockname()[1]
             endpoints["host"] = host
             endpoints["port"] = self.port
-        self._journal(
+        self.perf.event(
             "serve_listen",
             designs=self.registry.names(),
             max_concurrency=self.config.max_concurrency,
@@ -512,11 +503,11 @@ class STAServer:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
             self._pool = None
-        self._journal(
+        self.perf.event(
             "serve_shutdown",
             served=self._served,
-            rejected=self._rejected,
-            deadline_missed=self._deadline_missed,
+            rejected=self.perf.sta_serve_rejects,
+            deadline_missed=self.perf.sta_serve_deadline_misses,
             peak_active=self._peak_active,
         )
 

@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.errors import CharacterizationError
 from repro.moments.stats import SIGMA_LEVELS
+from repro.perf import PerfCounters
 from repro.surrogate.gp import GaussianProcess
 from repro.units import PS
 from repro.variation.lhs import latin_hypercube_unit
@@ -362,7 +363,7 @@ def run_active_learning(
     config: SurrogateConfig,
     reference: Optional[Tuple[int, int]] = None,
     n_samples: int = 0,
-    journal=None,
+    perf: Optional[PerfCounters] = None,
     arc: Optional[Sequence[str]] = None,
 ) -> SurrogateArcResult:
     """Run the acquisition loop for one arc over the requested grid.
@@ -388,22 +389,23 @@ def run_active_learning(
         Monte-Carlo draws behind each simulated point; used to floor the
         GP nugget at the analytic estimator noise
         (:func:`estimator_noise_var`). 0 disables the floor.
-    journal / arc:
-        Optional run journal plus the arc identity used in its
+    perf / arc:
+        Optional :class:`~repro.perf.PerfCounters` receiving the
         ``surrogate_fit`` / ``acquisition`` / ``surrogate_fallback``
-        events.
+        events (journaled when a journal is attached to it), plus the
+        arc identity they carry.
     """
     slews = np.asarray(slews, dtype=float)
     loads = np.asarray(loads, dtype=float)
     n_s, n_c = slews.size, loads.size
     n_grid = n_s * n_c
     arc_label = list(arc) if arc is not None else []
+    perf = perf if perf is not None else PerfCounters()
 
     def fallback(reason: str, records: Dict[Tuple[int, int], dict],
                  provenance: Optional[dict] = None) -> SurrogateArcResult:
-        if journal is not None:
-            journal.event("surrogate_fallback", arc=arc_label, reason=reason,
-                          n_simulated=len(records))
+        perf.event("surrogate_fallback", arc=arc_label, reason=reason,
+                   n_simulated=len(records))
         return SurrogateArcResult(
             moments=None, quantiles=None, out_slew=None,
             simulated=sorted(records), provenance=provenance or {},
@@ -500,12 +502,11 @@ def run_active_learning(
             rel_se[name] = float(sd_rel.max()) if sd_rel.size else 0.0
             if budget is not None and budget > 0:
                 scores = np.maximum(scores, sd_rel / budget)
-        if journal is not None:
-            journal.event(
-                "surrogate_fit", arc=arc_label, round=rounds,
-                n_simulated=len(records),
-                rel_se={k: round(v, 6) for k, v in rel_se.items()},
-            )
+        perf.event(
+            "surrogate_fit", arc=arc_label, round=rounds,
+            n_simulated=len(records),
+            rel_se={k: round(v, 6) for k, v in rel_se.items()},
+        )
         gated = [
             name for name in STATISTIC_NAMES
             if budgets[name] is not None and budgets[name] > 0
@@ -521,9 +522,8 @@ def run_active_learning(
         room = min(config.batch, cap - len(records), len(pending))
         ranked = np.argsort(-scores, kind="stable")[:room]
         batch = sorted(pending[k] for k in ranked)
-        if journal is not None:
-            journal.event("acquisition", arc=arc_label, round=rounds,
-                          points=[list(ij) for ij in batch])
+        perf.event("acquisition", arc=arc_label, round=rounds,
+                   points=[list(ij) for ij in batch])
         records.update(runner(batch))
 
     # ------------------------------------------------------------------

@@ -82,10 +82,10 @@ class TestArcCache:
         cache = JsonCache(tmp_path)
         first, engine1 = self._run(tech, variation, library, cache)
         assert engine1.perf.simulations == 4
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (cache.perf.cache_hits, cache.perf.cache_misses) == (0, 1)
         second, engine2 = self._run(tech, variation, library, cache)
         assert engine2.perf.simulations == 0  # served from cache
-        assert cache.hits == 1
+        assert cache.perf.cache_hits == 1
         assert _tables_equal(first, second)
 
     def test_sample_count_change_misses(self, tech, variation, library, tmp_path):

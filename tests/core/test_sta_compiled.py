@@ -407,9 +407,9 @@ class TestCompileCache:
     def test_cache_round_trip_identical(self, adder_circuit, mini_models, tmp_path):
         cache = JsonCache(tmp_path)
         first = compile_design(adder_circuit, mini_models, cache=cache)
-        assert cache.misses == 1 and cache.hits == 0
+        assert cache.perf.cache_misses == 1 and cache.perf.cache_hits == 0
         second = compile_design(adder_circuit, mini_models, cache=cache)
-        assert cache.hits == 1
+        assert cache.perf.cache_hits == 1
         r1 = CompiledSTA(adder_circuit, mini_models, design=first).analyze()
         r2 = CompiledSTA(adder_circuit, mini_models, design=second).analyze()
         assert r1.arrival == r2.arrival  # bit-identical, not just close
@@ -519,9 +519,9 @@ class TestCompileCache:
         monkeypatch.setattr(RCTree, "copy", no_copy)
         cache = JsonCache(tmp_path)
         compile_design(adder_circuit, mini_models, cache=cache)
-        assert (len(calls), cache.misses, cache.hits) == (1, 1, 0)
+        assert (len(calls), cache.perf.cache_misses, cache.perf.cache_hits) == (1, 1, 0)
         compile_design(adder_circuit, mini_models, cache=cache)
-        assert (len(calls), cache.hits) == (2, 1)
+        assert (len(calls), cache.perf.cache_hits) == (2, 1)
         compile_design(adder_circuit, mini_models)
         assert len(calls) == 3
 
@@ -546,11 +546,11 @@ class TestCompileCache:
         stale.arcs.mu_coef[0, 0] *= 1.5
         pack_compiled_design(stale, path, design_key=key)
         PackFile.open(path, verify=True)
-        hits_before = cache.hits
+        hits_before = cache.perf.cache_hits
         served = compile_design(adder_circuit, mini_models, cache=cache)
         # The poisoned artifact was loaded but failed the drift lint and
         # was rebuilt: the served design matches the live calibration.
-        assert cache.hits == hits_before + 1
+        assert cache.perf.cache_hits == hits_before + 1
         assert served.pack is None
         assert not lint_compiled_design(served, mini_models.calibrated).errors
         # The rebuild replaced the stale pack on disk.
@@ -605,8 +605,8 @@ class TestPackCompileCache:
         rebuilt = compile_design(
             adder_circuit, mini_models, cache=cache, perf=engine_perf
         )
-        assert (cache.corrupt, perf.cache_corrupt) == (1, 1)
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert cache.perf is perf and perf.cache_corrupt == 1
+        assert (perf.cache_hits, perf.cache_misses) == (0, 2)
         assert present_at_store == [False]  # unlinked before the rebuild
         assert engine_perf.sta_compiles == 1 and rebuilt.pack is None
         reopened = compile_design(adder_circuit, mini_models, cache=cache)

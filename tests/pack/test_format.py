@@ -157,11 +157,11 @@ class TestRoundTrip:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_perf_counters_and_journal_events(self, tmp_path):
-        perf = PerfCounters()
         journal = RunJournal(tmp_path / "pack.jsonl")
+        perf = PerfCounters(journal=journal)
         path = tmp_path / "unit.rpk"
-        write_pack(path, "unit", sample_doc(), perf=perf, journal=journal)
-        PackFile.open(path, perf=perf, journal=journal)
+        write_pack(path, "unit", sample_doc(), perf=perf)
+        PackFile.open(path, perf=perf)
         journal.close()
         assert perf.pack_writes == 1
         assert perf.pack_loads == 1
@@ -274,9 +274,9 @@ class TestPackCache:
     def test_miss_then_hit(self, adder_circuit, mini_models, tmp_path):
         cache = JsonCache(tmp_path)
         first = compile_design(adder_circuit, mini_models, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (cache.perf.cache_hits, cache.perf.cache_misses) == (0, 1)
         second = compile_design(adder_circuit, mini_models, cache=cache)
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert (cache.perf.cache_hits, cache.perf.cache_misses) == (1, 1)
         assert isinstance(second.pack, PackFile)
         assert delist_document(second.to_dict()) == delist_document(
             first.to_dict()
@@ -298,7 +298,7 @@ class TestPackCache:
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
         assert cache.get_pack("arc", "k", PackFile.open) is None
-        assert (cache.corrupt, cache.misses) == (1, 1)
+        assert (cache.perf.cache_corrupt, cache.perf.cache_misses) == (1, 1)
         assert perf.cache_corrupt == 1
         assert not path.exists()
 
@@ -311,7 +311,7 @@ class TestPackCache:
             return PackFile.open(p)
 
         assert cache.get_pack("arc", "k", raced) is None
-        assert (cache.corrupt, cache.misses) == (0, 1)
+        assert (cache.perf.cache_corrupt, cache.perf.cache_misses) == (0, 1)
         assert not path.exists()
 
     def test_put_strips_the_pack_handle(self, adder_circuit, mini_models, tmp_path):

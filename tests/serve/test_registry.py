@@ -124,11 +124,11 @@ class TestEviction:
     def test_lru_evicts_least_recently_queried(
         self, adder_circuit, second_circuit, mini_models, tmp_path
     ):
-        perf = PerfCounters()
         journal = RunJournal(tmp_path / "serve.jsonl")
+        perf = PerfCounters(journal=journal)
         # Budget fits exactly one design: loading the second must evict
         # the first.
-        registry = DesignRegistry(perf=perf, journal=journal, budget_bytes=1)
+        registry = DesignRegistry(perf=perf, budget_bytes=1)
         registry.register("adder3", adder_circuit, mini_models)
         registry.register("adder2", second_circuit, mini_models)
 

@@ -54,9 +54,9 @@ class TestAttachPack:
     def test_cold_load_comes_from_the_pack(
         self, adder_circuit, mini_models, adder_pack, tmp_path
     ):
-        perf = PerfCounters()
         journal = RunJournal(tmp_path / "serve.jsonl")
-        registry = DesignRegistry(perf=perf, journal=journal)
+        perf = PerfCounters(journal=journal)
+        registry = DesignRegistry(perf=perf)
         registry.register("adder3", adder_circuit, mini_models)
         assert registry.attach_pack("adder3", adder_pack) is True
         # Attach validates without counting as a load.
@@ -106,7 +106,7 @@ class TestAttachPack:
             design, tmp_path / "stale.rpk", design_key="some-older-key"
         )
         journal = RunJournal(tmp_path / "serve.jsonl")
-        registry = DesignRegistry(journal=journal)
+        registry = DesignRegistry(perf=PerfCounters(journal=journal))
         registry.register("adder3", adder_circuit, mini_models)
         assert registry.attach_pack("adder3", rpk) is False
 
@@ -136,7 +136,7 @@ class TestAttachPack:
         self, adder_circuit, mini_models, adder_pack, tmp_path
     ):
         journal = RunJournal(tmp_path / "serve.jsonl")
-        registry = DesignRegistry(journal=journal)
+        registry = DesignRegistry(perf=PerfCounters(journal=journal))
         registry.register("adder3", adder_circuit, mini_models)
         assert registry.attach_pack("adder3", adder_pack) is True
         flip_last_byte(adder_pack)  # rot after the attach-time check
@@ -159,11 +159,9 @@ class TestReloadAfterEviction:
     def test_reload_is_bit_identical_and_counts_exactly_once(
         self, adder_circuit, second_circuit, mini_models, adder_pack, tmp_path
     ):
-        perf = PerfCounters()
         journal = RunJournal(tmp_path / "serve.jsonl")
-        registry = DesignRegistry(
-            perf=perf, journal=journal, budget_bytes=1
-        )
+        perf = PerfCounters(journal=journal)
+        registry = DesignRegistry(perf=perf, budget_bytes=1)
         registry.register("adder3", adder_circuit, mini_models)
         registry.register("adder2", second_circuit, mini_models)
         assert registry.attach_pack("adder3", adder_pack)

@@ -39,13 +39,12 @@ def direct_results(adder_circuit, mini_models):
 def served(adder_circuit, mini_models, tmp_path):
     """A live server on a unix socket with a journal; yields the parts."""
     journal = RunJournal(tmp_path / "serve.jsonl")
-    perf = PerfCounters()
-    registry = DesignRegistry(perf=perf, journal=journal)
+    perf = PerfCounters(journal=journal)
+    registry = DesignRegistry(perf=perf)
     registry.register("adder3", adder_circuit, mini_models)
     server = STAServer(
         registry,
         ServeConfig(max_concurrency=4, queue_depth=64),
-        journal=journal,
         perf=perf,
     )
     socket_path = str(tmp_path / "sta.sock")

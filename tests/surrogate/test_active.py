@@ -130,12 +130,13 @@ class TestRunActiveLearning:
 
     def test_journal_events(self, tmp_path):
         from repro.journal import RunJournal, read_journal
+        from repro.perf import PerfCounters
 
         with RunJournal(tmp_path / "j.jsonl") as journal:
             run_active_learning(
                 SLEWS, LOADS, synthetic_runner(), seed=42,
                 config=SurrogateConfig(), reference=(0, 1), n_samples=2000,
-                journal=journal, arc=["INVx1", "A", "fall"],
+                perf=PerfCounters(journal=journal), arc=["INVx1", "A", "fall"],
             )
         events = [e["event"] for e in read_journal(tmp_path / "j.jsonl")]
         assert "surrogate_fit" in events

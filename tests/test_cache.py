@@ -92,10 +92,10 @@ class TestJsonCache:
     def test_miss_then_hit(self, tmp_path):
         cache = JsonCache(tmp_path)
         assert cache.get("arc", "abc") is None
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (cache.perf.cache_hits, cache.perf.cache_misses) == (0, 1)
         cache.put("arc", "abc", {"x": 1})
         assert cache.get("arc", "abc") == {"x": 1}
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert (cache.perf.cache_hits, cache.perf.cache_misses) == (1, 1)
 
     def test_content_hash_miss_on_changed_payload(self, tmp_path):
         cache = JsonCache(tmp_path)
@@ -123,8 +123,8 @@ class TestJsonCache:
         cache = JsonCache(tmp_path)
         monkeypatch.setattr(Path, "exists", lambda self: True)
         assert cache.get("arc", "never-stored") is None
-        assert cache.misses == 1
-        assert cache.corrupt == 0
+        assert cache.perf.cache_misses == 1
+        assert cache.perf.cache_corrupt == 0
 
     def test_two_thread_get_vs_unlink_stress(self, tmp_path):
         # Readers racing a concurrent unlink+rewrite loop must only
@@ -169,7 +169,7 @@ class TestJsonCache:
         for t in threads:
             t.join()
         assert errors == []
-        assert cache.corrupt == 0
+        assert cache.perf.cache_corrupt == 0
         assert any(seen)
 
     def test_put_is_atomic_no_tmp_left_behind(self, tmp_path):

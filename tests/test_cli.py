@@ -324,3 +324,32 @@ class TestServeReadyFileCleanup:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+@pytest.mark.slow
+class TestServeJournal:
+    def test_serve_opens_its_journal_once_and_closes_it(
+        self, tmp_path, monkeypatch, mini_models
+    ):
+        import repro.journal
+        from repro.serve.server import STAServer
+
+        opened = []
+
+        class CountingJournal(repro.journal.RunJournal):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(repro.journal, "RunJournal", CountingJournal)
+        monkeypatch.setattr(STAServer, "run", lambda self, **kwargs: None)
+        journal = tmp_path / "serve.jsonl"
+        code = main(
+            ["serve", "ADD", "--width", "2",
+             "--socket", str(tmp_path / "sta.sock"),
+             "--journal", str(journal)]
+            + _mini_flow_cli_args()
+        )
+        assert code == 0
+        assert [j.path for j in opened] == [journal]
+        assert opened[0]._fh is None  # closed on the way out

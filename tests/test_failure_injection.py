@@ -301,8 +301,8 @@ class TestCacheCrashSafety:
         path.write_text('{"good": 1')  # truncated by a crashed writer
         assert cache.get("arc", "k1") is None
         assert not path.exists()
-        assert cache.corrupt == 1 and cache.misses == 1 and cache.hits == 0
         assert perf.cache_corrupt == 1 and perf.cache_misses == 1
+        assert perf.cache_hits == 0
         # The key is reusable immediately.
         cache.put("arc", "k1", {"good": 2})
         assert cache.get("arc", "k1") == {"good": 2}
@@ -349,7 +349,7 @@ class TestInterruptAndResume:
 
         resume_cache = JsonCache(cache_dir)
         resumed = self._characterize(library, tech, variation, resume_cache)
-        assert resume_cache.hits == 1  # INVx1 restored, not recomputed
+        assert resume_cache.perf.cache_hits == 1  # INVx1 restored, not recomputed
         golden = self._characterize(library, tech, variation, cache=None)
 
         assert sorted(resumed.tables) == sorted(golden.tables)
@@ -363,9 +363,9 @@ class TestInterruptAndResume:
             self, tmp_path, library, tech, variation):
         cache = JsonCache(tmp_path)
         self._characterize(library, tech, variation, cache)
-        assert cache.hits == 0
+        assert cache.perf.cache_hits == 0
         self._characterize(library, tech, variation, cache, resume=False)
-        assert cache.hits == 0  # checkpoints present but not consulted
+        assert cache.perf.cache_hits == 0  # checkpoints present but not consulted
 
 
 class TestArcQuarantine:

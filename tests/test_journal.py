@@ -113,10 +113,10 @@ class TestExecutorJournaling:
             parallel_map(
                 _fail_until_sentinel, tasks, workers=1,
                 policy=RetryPolicy(max_retries=1, backoff_s=0.01),
-                journal=journal)
+                perf=PerfCounters(journal=journal))
             parallel_map(
                 _always_fail, ["bad"], workers=1, quarantine=[],
-                labels=["the-bad-one"], journal=journal)
+                labels=["the-bad-one"], perf=PerfCounters(journal=journal))
         names = [e["event"] for e in read_journal(path)]
         assert names == ["task_start", "task_retry", "task_finish",
                          "task_start", "task_quarantine"]

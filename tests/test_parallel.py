@@ -23,6 +23,7 @@ from repro.parallel import (
     resolve_workers,
     task_seed,
 )
+from repro.perf import PerfCounters
 
 
 def _square(x):
@@ -287,7 +288,8 @@ class TestTimeoutDegrade:
         with pytest.warns(RuntimeWarning):
             parallel_map(
                 _square, [1, 2], workers=1,
-                policy=RetryPolicy(task_timeout=0.5), journal=journal,
+                policy=RetryPolicy(task_timeout=0.5),
+                perf=PerfCounters(journal=journal),
             )
         journal.close()
         events = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]

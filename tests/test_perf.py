@@ -1,5 +1,6 @@
 """PerfCounters: thread-safety, kernel-op attribution, round-trips,
-the named-counter map, and locked counter writes by its callers."""
+the named-counter map, locked counter writes by its callers, and the
+one event call that feeds the counters and the run journal."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import threading
 import pytest
 
 from repro.cache import JsonCache
+from repro.journal import RunJournal, read_journal
 from repro.parallel import RetryPolicy, parallel_map
 from repro.perf import COUNTERS, PerfCounters
 
@@ -155,18 +157,55 @@ GUARDED = ("cache_hits", "cache_misses", "cache_corrupt",
            "task_retries", "task_quarantines", "pool_crashes")
 
 
+class _CountingLock:
+    """A ``threading.Lock`` stand-in that counts its acquisitions."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquisitions += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+    def locked(self) -> bool:
+        return self._lock.locked()
+
+
+class _AuditedCounts(dict):
+    """The counter map, logging every write made while ``lock`` is free."""
+
+    def __init__(self, counts, lock, log) -> None:
+        super().__init__(counts)
+        self.lock, self.log = lock, log
+
+    def __setitem__(self, name, value) -> None:
+        if not self.lock.locked():
+            self.log.append(name)
+        super().__setitem__(name, value)
+
+
 class LockAuditingCounters(PerfCounters):
-    """Records every write to a guarded counter made without the lock.
+    """Records every counter write made without the lock.
 
     A bare ``perf.counter += n`` calls ``__setattr__`` while ``_lock``
     is free, which a concurrent writer could interleave with (the
     server's registry compiles through a ``JsonCache`` from executor
-    threads).
+    threads); so would a write into the counter map outside the lock.
+    The lock also counts its acquisitions.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
         self.unlocked_writes = []
+        self._lock = _CountingLock()
+        self._counts = _AuditedCounts(
+            self._counts, self._lock, self.unlocked_writes
+        )
 
     def __setattr__(self, name, value):
         lock = getattr(self, "_lock", None)
@@ -207,3 +246,67 @@ class TestCacheAndExecutorCountUnderTheLock:
         assert [q.label for q in quarantine] == ["1"]
         assert perf.unlocked_writes == []
         assert (perf.task_retries, perf.task_quarantines) == (2, 1)
+
+
+class TestEvent:
+    def test_counts_are_written_under_the_lock(self):
+        perf = LockAuditingCounters()
+        perf.event(
+            "cache_corrupt", {"cache_corrupt": 1, "cache_misses": 1},
+            path="arc_k.json",
+        )
+        assert perf.unlocked_writes == []
+        assert (perf.cache_corrupt, perf.cache_misses) == (1, 1)
+
+    def test_without_a_journal_it_only_counts(self):
+        perf = LockAuditingCounters()
+        perf.event("task_start", task=0, label="0")
+        assert perf._lock.acquisitions == 0  # nothing to count
+        perf.event("pool_crash", {"pool_crashes": 1}, tasks=[0])
+        assert perf._lock.acquisitions == 1  # what incr takes
+        perf.incr(pool_crashes=1)
+        assert perf._lock.acquisitions == 2
+        assert perf.pool_crashes == 2
+        assert perf.unlocked_writes == []
+
+    def test_journal_line_is_appended_outside_the_lock(self):
+        perf = LockAuditingCounters()
+        lines = []
+
+        class Recorder:
+            def event(self, name, **fields):
+                lines.append((name, fields, perf._lock.locked()))
+
+        perf.journal = Recorder()
+        perf.event("pack_load", {"pack_loads": 1}, path="d.rpk", kind="x")
+        # ``counts`` is positional-only: as a keyword it is a field.
+        perf.event("note", counts=3)
+        assert lines == [
+            ("pack_load", {"path": "d.rpk", "kind": "x"}, False),
+            ("note", {"counts": 3}, False),
+        ]
+        assert perf.pack_loads == 1
+
+    def test_event_reaches_the_attached_journal(self, tmp_path):
+        with RunJournal(tmp_path / "run.jsonl") as journal:
+            perf = PerfCounters(journal=journal)
+            perf.event("pack_verify", {"pack_verifies": 1}, ok=True)
+        (line,) = read_journal(tmp_path / "run.jsonl")
+        assert (line["event"], line["ok"]) == ("pack_verify", True)
+        assert perf.pack_verifies == 1
+
+    def test_the_journal_is_not_part_of_the_counters(self, tmp_path):
+        with RunJournal(tmp_path / "run.jsonl") as journal:
+            perf = PerfCounters(journal=journal)
+            perf.incr(cache_hits=2)
+            perf.add_wall("simulate", 0.5)
+            plain = PerfCounters.from_dict(perf.to_dict())
+            assert plain.journal is None
+            assert perf == plain
+            assert repr(perf) == repr(plain)
+            assert perf.to_dict() == plain.to_dict()
+            clone = pickle.loads(pickle.dumps(perf))
+            assert clone.journal is None and clone == perf
+            merged = PerfCounters().merge(perf)
+            assert merged.journal is None and merged == perf
+            assert perf.merge(plain).journal is journal
